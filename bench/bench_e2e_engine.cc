@@ -2,10 +2,10 @@
  * End-to-end FrugalEngine throughput benchmark (DESIGN.md §9).
  *
  * Unlike the microbenchmarks, this drives the *real* engine — trainer
- * threads, prefetcher, staging queue, two-level PQ, flush threads and
+ * threads, prefetcher, step registration, two-level PQ, flush threads and
  * the P²F gate all running for real — across a {1,2,4} trainers ×
  * {1,2,4} flush threads grid on a Zipf-skewed synthetic trace. Each
- * cell reports steps/s and the flush-lag percentiles (staging-to-commit
+ * cell reports steps/s and the flush-lag percentiles (registration-to-commit
  * latency), and every trained table is verified bit-equal against the
  * single-threaded oracle before its numbers are emitted: a cell that
  * trains the wrong model does not get to report a throughput.

@@ -10,7 +10,9 @@
  *  - registry get-or-create: single-probe TryEmplace + arena GEntries vs
  *    find-then-emplace over unordered_map<Key, unique_ptr<GEntry>>;
  *  - update-pipeline drain: one UpdateBatch per (step, GPU) vs one
- *    heap-allocated message per key plus end markers;
+ *    heap-allocated message per key plus end markers, both through a
+ *    staging queue and a drain thread — frozen shapes; FrugalEngine
+ *    registers each step on its trainers instead;
  *  - row kernels: vectorised copy / SGD / Adagrad bandwidth.
  *
  * Emits BENCH_hotpath.json (one {"metric", "value", "unit"} record per
@@ -324,8 +326,9 @@ RunLegacyPipeline(const Sizes &sizes,
     return rate;
 }
 
-/** New pipeline: one batch per (step, GPU); the batch is the marker.
- *  Mirrors the engine's drainer including the (key, src) index sort. */
+/** Batched pipeline: one batch per (step, GPU); the batch is the
+ *  marker. Includes the (key, src) index sort the engine's step
+ *  registration runs. */
 double
 RunBatchedPipeline(const Sizes &sizes,
                    const std::vector<std::vector<Key>> &per_gpu_keys)

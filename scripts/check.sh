@@ -158,7 +158,7 @@ fi
 
 # --- 4c. end-to-end engine bench smoke + baseline diff -------------------
 # Same contract as 4b for bench_e2e_engine: a smoke run drives the *real*
-# engine (trainers, prefetcher, drainer, flush threads, the gate) across
+# engine (trainers, prefetcher, flush threads, the gate) across
 # the grid and exits non-zero if any cell trains a table that is not
 # bit-equal to the single-threaded oracle — that part is a hard gate.
 # The metric diff against the committed BENCH_e2e.json stays warn-only.
@@ -287,12 +287,24 @@ fi
 
 # --- 4d. chaos/overload smoke -------------------------------------------
 # A shrunken seeded chaos campaign against the real engine: flusher
-# deaths, flaky writes, a trainer death against a one-slot staging bound,
-# and a mid-run memory-budget squeeze. The binary is its own hard gate —
+# deaths, flaky writes, registration stalls, a degraded-mode trainer
+# death, and a mid-run memory-budget squeeze. The binary is its own hard gate —
 # it exits non-zero if the degraded run diverges from the fault-free
 # oracle, stalls, or never reaches kCritical (DESIGN.md §12.4).
 note "bench_chaos smoke (degradation hard gate)"
 if ! ./build/bench/bench_chaos --smoke --out build/BENCH_chaos.json; then
+    failures=$((failures + 1))
+fi
+
+# --- 4d2. repo benchmark correctness negative control --------------------
+# perfbench/selftest.py builds the repo benchmark (perfbench/, into
+# $CARGO_TARGET_DIR/perfbench, default .bench_build/) and runs each
+# workload briefly twice: unmodified runs must be bit-equal to the
+# oracle, and runs with one trained value nudged by one ulp must be
+# counted failed. A non-zero exit means the benchmark's correctness
+# gate no longer holds (or no longer bites).
+note "perfbench selftest (benchmark correctness gate)"
+if ! python3 perfbench/selftest.py; then
     failures=$((failures + 1))
 fi
 

@@ -77,6 +77,9 @@ HOT_FUNCTIONS = (
     # FrugalEngine flush data plane (lambdas in frugal_engine.cc)
     "flush_entry_run",
     "refresh_cache",
+    # Step registration, run by the trainers after every step barrier
+    # (lambda in frugal_engine.cc)
+    "register_part",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",
     # GPU cache operations on the trainer critical path

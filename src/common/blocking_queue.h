@@ -1,9 +1,8 @@
 /**
  * @file
- * A bounded multi-producer multi-consumer blocking queue. Backs the
- * controller's *update staging queue* and *sample queue* (Fig. 5): trainers
- * push parameter updates, the drain thread pops them; the prefetcher pushes
- * future batches, the controller pops them.
+ * A bounded multi-producer multi-consumer blocking queue, the shape of the
+ * controller's queues in Fig. 5. bench_hotpath's update-pipeline
+ * comparison runs its producer/consumer shapes through it.
  *
  * Locking goes through the annotated Mutex wrapper (common/mutex.h) so
  * Clang TSA sees every critical section; condition-variable waits use
@@ -185,8 +184,8 @@ class BlockingQueue
 
     /**
      * Pops up to `max_items` elements in one critical section; blocks for
-     * at least one unless closed. Batching keeps the staging-drain thread
-     * from paying one lock round-trip per parameter update.
+     * at least one unless closed. Batching keeps a consumer from paying
+     * one lock round-trip per element.
      */
     std::vector<T>
     PopBatch(std::size_t max_items)

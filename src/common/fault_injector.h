@@ -24,8 +24,11 @@
  *  - kHostWriteTransient  — one host-table write attempt fails
  *                           transiently (context: key); the flush thread
  *                           retries with bounded exponential backoff;
- *  - kStagingDrainStall   — the staging-drain thread stalls for
- *                           `payload` milliseconds (context: step);
+ *  - kStagingDrainStall   — the thread that finishes registering a
+ *                           step's updates (a trainer, or the
+ *                           checkpoint barrier) stalls for `payload`
+ *                           milliseconds right after publishing the
+ *                           step (context: step);
  *  - kTrainerDeath        — a trainer (simulated GPU) dies at a step
  *                           boundary (context: completed step; payload:
  *                           victim GPU id), triggering degraded mode;

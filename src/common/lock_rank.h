@@ -30,6 +30,11 @@
  *    OnPriorityChange / the claim-validation protocol), so entries rank
  *    below queue-internal locks (TreeHeapPQ's heap lock; TwoLevelPQ has
  *    none).
+ *  - Trainers register each step's updates right after the step
+ *    barrier, holding no lock when they start: a registry shard lock
+ *    resolves the part's g-entries (GetOrCreateBatch, released), then
+ *    each entry lock is held across its FlushQueue calls
+ *    (RegisterUpdate) — kRegistryShard, then kGEntry → kFlushQueue.
  *  - Flush threads apply writes (embedding-table row locks) and refresh
  *    caches while holding the entry lock, so table rows and caches rank
  *    above entries. Rows and caches are leaf locks relative to each

@@ -5,8 +5,8 @@
  *
  *  - RegisterRead: the prefetch thread saw `key` in the sample queue for
  *    step s ⇒ insert s into the R set (and re-prioritise if enqueued).
- *  - RegisterUpdate: the staging-drain thread received ⟨key, s, Δ⟩ ⇒
- *    remove s from the R set, append to the W set, enqueue or
+ *  - RegisterUpdate: a trainer registers ⟨key, s, Δ⟩ after step s's
+ *    barrier ⇒ remove s from the R set, append to the W set, enqueue or
  *    re-prioritise.
  *  - TakeClaimedWrites: a flush thread owns a claimed entry ⇒ detach its
  *    W set (ordered deterministically) for application to host memory.
@@ -95,16 +95,16 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply,
     std::size_t applied = 0;
     {
         SpinGuard guard(entry.lock());
-        // The drain thread may have added writes and re-enqueued the
-        // entry between our claim and this point. We are about to apply
-        // those newer writes as well, so the standing enqueue must be
-        // retired — otherwise it would survive as a zombie whose logical
-        // count never drains (the queue would never look empty again).
-        if (entry.enqueuedLocked()) {
-            const Priority standing = entry.priorityLocked();
-            entry.setEnqueuedLocked(false);
-            queue.Unenqueue(&entry, standing);
-        }
+        // A read or a write may have re-enqueued the entry between our
+        // claim and this point. We are about to apply its newer writes
+        // as well, so the standing enqueue must be retired — otherwise
+        // it would survive as a zombie whose logical count never drains
+        // (the queue would never look empty again). Retire it only after
+        // the writes are applied: its count is what keeps the gate
+        // closed for the step that re-enqueued it, while our claim's
+        // in-flight count may sit at a later priority (or ∞).
+        const bool standing = entry.enqueuedLocked();
+        const Priority standing_priority = entry.priorityLocked();
         std::vector<WriteRecord> writes = entry.TakeWritesLocked();
         std::sort(writes.begin(), writes.end(),
                   [](const WriteRecord &a, const WriteRecord &b) {
@@ -117,6 +117,10 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply,
         }
         if (applied > 0)
             post(entry.key());
+        if (standing) {
+            entry.setEnqueuedLocked(false);
+            queue.Unenqueue(&entry, standing_priority);
+        }
     }
     queue.OnFlushed(ticket);
     return applied;

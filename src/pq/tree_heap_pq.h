@@ -77,6 +77,9 @@ class TreeHeapPQ final : public FlushQueue
     std::vector<HeapNode> heap_ FRUGAL_GUARDED_BY(heap_lock_);
     std::multiset<Priority> live_ FRUGAL_GUARDED_BY(heap_lock_);
     std::multiset<Priority> in_flight_ FRUGAL_GUARDED_BY(heap_lock_);
+    /** Nodes a dequeuer popped and has not validated yet: their pair is
+     *  off the heap while their priority may still be live. */
+    std::size_t validating_ FRUGAL_GUARDED_BY(heap_lock_) = 0;
     model_atomic<std::uint64_t> stale_discards_{0};
 };
 

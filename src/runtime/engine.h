@@ -4,7 +4,7 @@
  *
  * An Engine executes a multi-GPU synchronous embedding-training run over
  * a key Trace: every simulated GPU is a real thread, every parameter is a
- * real float row, and every consistency mechanism (caches, staging queue,
+ * real float row, and every consistency mechanism (caches, g-entries,
  * PQ, gate) runs for real. The *model* is injected as a gradient callback
  * so the same engines train microbenchmarks (Exp #1), DLRM (Exp #7) and
  * KG scorers (Exp #6) unchanged.
@@ -105,32 +105,15 @@ struct EngineConfig
      */
     bool coalesced_flush = true;
 
-    /** Update staging queue capacity, in per-(step, GPU) batches (each
-     *  batch carries one trace GPU's whole step of gradients). */
-    std::size_t staging_capacity = 1 << 15;
-
-    /**
-     * Backpressure bound on the update staging queue, in batches
-     * (FrugalEngine only). 0 = legacy behaviour: the queue is sized by
-     * `staging_capacity`, which is large enough that trainers never
-     * block. Non-zero replaces that size with a hard bound: a trainer
-     * whose push finds the queue full *throttles* (timed PushFor loop,
-     * counted per trainer in RunReport::overload) until the flush tier
-     * catches up — a slow flush tier slows trainers down instead of
-     * growing RSS without limit. Liveness is preserved because every
-     * consumer (drainer) keeps draining regardless of the bound.
-     */
-    std::size_t update_queue_cap = 0;
-
     /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
      * owns it and keeps it alive across Run. When set, the engine
      * publishes its component byte gauges (registry arena/index, GPU
-     * caches, staging queue) into the budget every monitor period and
-     * applies staged degradation reactions on pressure transitions:
-     * elevated sheds prefetch lookahead and flush coalescing width;
-     * critical additionally shrinks the GPU caches online
-     * (GpuCache::Resize). See DESIGN.md §12.2.
+     * caches, pending update batches) into the budget every monitor
+     * period and applies staged degradation reactions on pressure
+     * transitions: elevated sheds prefetch lookahead and flush
+     * coalescing width; critical additionally shrinks the GPU caches
+     * online (GpuCache::Resize). See DESIGN.md §12.2.
      */
     MemoryBudget *memory_budget = nullptr;
 
@@ -202,9 +185,9 @@ struct EngineConfig
 
     /**
      * Take a consistent checkpoint every N steps (0 = never). The
-     * barrier runs at the step boundary: trainers are held, staging +
-     * PQ + in-flight claims drain, then the table, optimizer state and
-     * trace cursor are snapshotted to `checkpoint_path`.
+     * barrier runs at the step boundary: trainers are held, the step is
+     * registered, PQ + in-flight claims drain, then the table, optimizer
+     * state and trace cursor are snapshotted to `checkpoint_path`.
      */
     std::size_t checkpoint_every_steps = 0;
     std::string checkpoint_path;
@@ -236,7 +219,7 @@ struct RunReport
     StatAccumulator stall_per_step;
     double stall_seconds_total = 0.0;
 
-    /** Flush lag: staging-to-commit latency of applied update runs
+    /** Flush lag: registration-to-commit latency of applied update runs
      *  (seconds; 1-in-16 sampled), merged across flush threads and
      *  cooperative-flush trainer applies. Populated by FrugalEngine's
      *  coalesced flush path. */

@@ -10,12 +10,13 @@
 #include <sstream>
 #include <thread>
 
-#include "common/blocking_queue.h"
 #include "common/cacheline.h"
 #include "common/fault_injector.h"
 #include "common/logging.h"
 #include "common/memory_budget.h"
+#include "common/part_claimer.h"
 #include "common/retry.h"
+#include "common/rng.h"
 #include "common/spinlock.h"
 #include "data/next_use.h"
 #include "pq/g_entry_registry.h"
@@ -40,23 +41,20 @@ namespace {
 constexpr std::uint64_t kGatherSleepQuantumNs = 100'000;
 
 /**
- * One message in the update staging queue: everything one trace GPU
- * produced in one step, as a unit.
- *
- * The old pipeline staged one heap-allocated message (with its own
- * vector<float>) per key plus an end marker per (step, GPU); the
- * staging queue paid a lock round-trip and an allocation per
- * parameter. A batch carries the whole key list and one contiguous
- * gradient buffer, and — because a trainer emits everything for
- * (step, src) at once — the batch itself IS the end marker: a step is
- * complete when n_gpus batches for it arrived.
+ * Everything one trace GPU produced in one step: the step's
+ * deduplicated key list plus one contiguous gradient buffer. Each trace
+ * GPU owns one batch slot; the trainer executing it fills the slot
+ * before the step barrier, and the trainers register the step's slots
+ * right after it (see register_part). A trainer refills its slot only
+ * after passing the next gate, which implies every part of the previous
+ * step was registered, so a slot is never overwritten while read.
  */
 struct UpdateBatch
 {
     Step step = 0;
     GpuId src = 0;
     /** The step's deduplicated key list. Points into the Trace, which
-     *  outlives the run; the drainer only reads it. */
+     *  outlives the run; registration only reads it. */
     const std::vector<Key> *keys = nullptr;
     /** keys->size() × dim gradients; row i starts at i * dim. */
     std::vector<float> grads;
@@ -74,10 +72,6 @@ struct TrainerLocalStats
     std::uint64_t host_reads = 0;
     std::uint64_t updates_emitted = 0;
     std::uint64_t gate_waits = 0;
-    /** Pushes that found the bounded staging queue full (backpressure). */
-    std::uint64_t throttle_events = 0;
-    /** Nanoseconds spent blocked on backpressure. */
-    std::uint64_t throttle_wait_ns = 0;
 };
 
 /**
@@ -104,7 +98,7 @@ struct FlusherSlot
     std::atomic<bool> dead{false};
     /** True while a dequeued batch is being processed. */
     std::atomic<bool> busy{false};
-    /** Flush lag (staging→commit seconds) of runs this slot applied.
+    /** Flush lag (registration→commit seconds) of runs this slot applied.
      *  tsa-exempt: written only by the slot's own thread; the engine
      *  merges it after joining every flusher. */
     Histogram lag;
@@ -171,12 +165,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         // without a rule for that site see zero behaviour change.
         registry.ArmFaultInjector(injector);
     }
-    // Backpressure bound (update_queue_cap > 0) or the legacy
-    // effectively-unbounded size.
-    const std::size_t staging_cap = config_.update_queue_cap != 0
-                                        ? config_.update_queue_cap
-                                        : config_.staging_capacity;
-    BlockingQueue<UpdateBatch> staging(staging_cap);
     std::vector<std::unique_ptr<GpuCache>> caches;
     for (std::uint32_t g = 0; g < n_gpus; ++g) {
         caches.push_back(std::make_unique<GpuCache>(
@@ -207,7 +195,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     std::atomic<Step> prefetch_frontier{0};  // steps with R sets in place
     std::atomic<Step> drained_steps{0};      // steps fully in g-entries
     std::atomic<Step> current_step{0};
-    std::atomic<bool> drain_done{false};
+    std::atomic<bool> drain_done{false};  // every step registered
     std::atomic<bool> run_complete{false};
     std::mutex gate_mutex;
     std::condition_variable gate_cv;
@@ -242,11 +230,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     std::atomic<std::uint64_t> flusher_deaths{0};
     std::atomic<std::uint64_t> flusher_respawns{0};
     std::atomic<std::uint64_t> claims_reclaimed{0};
-    std::atomic<std::uint64_t> throttle_events{0};
-    std::atomic<std::uint64_t> throttle_wait_ns{0};
-    // Staging payload bytes currently queued (trainers add on push, the
-    // drainer subtracts on pop); feeds the kQueue pressure gauge.
-    std::atomic<std::size_t> staging_bytes{0};
     // Degradation knobs, written by the pressure monitor and read on
     // the prefetch/flush paths. They start at the configured values and
     // only move on stage transitions.
@@ -263,6 +246,133 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     std::uint64_t checkpoint_retry_count = 0;
     double checkpoint_pause_seconds = 0.0;
     double checkpoint_save_seconds = 0.0;
+
+    // --- step registration (DESIGN.md §5) -----------------------------
+    // A trace GPU's step output waits in its batch slot until the step
+    // barrier; right after it, the live trainers register the step
+    // themselves. The records are split into n_gpus fixed key-hash
+    // parts claimed through `registration`, so an awake trainer takes
+    // every part a peer still waking from the barrier has not reached.
+    // Registering only after the barrier keeps R-set removal safe (§5
+    // gap 2): every trainer has left step s by then.
+    std::vector<UpdateBatch> batch_slots(n_gpus);
+    PartClaimer registration(n_gpus);
+    // Emitted-but-unregistered batches and their gradient bytes: the
+    // watchdog's staging depth and the kQueue pressure gauge.
+    std::atomic<std::size_t> pending_batches{0};
+    std::atomic<std::size_t> pending_bytes{0};
+    /**
+     * Registers part `part` of step `s`: every record in the batch slots
+     * whose key hashes to the part, in (key, src) order, so a key's W
+     * records always *arrive* in canonical order — a flush may otherwise
+     * split one step's records for a key across two takes and apply them
+     * in registration order (§5 gap 4). A key belongs to exactly one
+     * part and one thread registers a part, so the order holds across
+     * parts. With n_gpus dividing the registry's 64 shards, a part also
+     * covers whole registry shards, so concurrent parts never contend on
+     * a shard lock.
+     */
+    auto register_part = [&](Step s, std::uint32_t part) {
+        /** Row reference used to order the part's records. */
+        struct RowRef
+        {
+            Key key;
+            GpuId src;
+            std::uint32_t row;
+        };
+        // Per-thread scratch: the capacity persists across steps, so
+        // the steady state allocates nothing but the W records.
+        thread_local std::vector<RowRef> order;
+        thread_local std::vector<Key> unique_keys;
+        thread_local std::vector<GEntry *> entries;
+        const std::size_t dim = config_.dim;
+        order.clear();
+        for (std::uint32_t g = 0; g < n_gpus; ++g) {
+            FRUGAL_DCHECK(batch_slots[g].step == s);
+            const std::vector<Key> &keys = *batch_slots[g].keys;
+            for (std::uint32_t r = 0; r < keys.size(); ++r) {
+                if (MixHash64(keys[r]) % n_gpus != part)
+                    continue;
+                // alloc-ok: thread_local scratch; capacity amortizes
+                // across steps.
+                order.push_back(RowRef{keys[r], static_cast<GpuId>(g), r});
+            }
+        }
+        std::sort(order.begin(), order.end(),
+                  [](const RowRef &a, const RowRef &b) {
+                      return a.key != b.key ? a.key < b.key : a.src < b.src;
+                  });
+        // Consecutive refs with equal keys hit the same g-entry; resolve
+        // the part's sorted, unique key list in one batched registry
+        // call — one shard lock per same-shard run instead of one per
+        // key.
+        unique_keys.clear();
+        for (const RowRef &ref : order) {
+            if (unique_keys.empty() || ref.key != unique_keys.back())
+                // alloc-ok: thread_local scratch (see above).
+                unique_keys.push_back(ref.key);
+        }
+        // alloc-ok: thread_local scratch (see above).
+        entries.resize(unique_keys.size());
+        // alloc-ok: g-entries are created once per key (arena growth);
+        // the call's grouping scratch is thread_local.
+        registry.GetOrCreateBatch(unique_keys, entries.data());
+        // One stamp for the part's records: flush lag is measured from
+        // here.
+        const auto staged_at = std::chrono::steady_clock::now();
+        std::size_t run = 0;
+        for (const RowRef &ref : order) {
+            if (ref.key != unique_keys[run])
+                ++run;  // order and unique_keys sort identically
+            const float *grad = batch_slots[ref.src].grads.data() +
+                                static_cast<std::size_t>(ref.row) * dim;
+            // alloc-ok: the W record owns a copy of its gradient row (the
+            // slot is refilled next step) and the W set grows by one
+            // record; both are freed or reused when the entry flushes.
+            RegisterUpdate(*queue, *entries[run],
+                           WriteRecord{s, ref.src,
+                                       std::vector<float>(grad, grad + dim),
+                                       staged_at});
+        }
+    };
+    /**
+     * Claims and registers parts of step `s` until none is left. The
+     * thread that finishes the last part publishes the step
+     * (drained_steps), which satisfies gate condition (b) for s + 1.
+     */
+    auto register_step = [&](Step s) {
+        for (std::uint32_t part = registration.Claim(); part < n_gpus;
+             part = registration.Claim()) {
+            register_part(s, part);
+            if (!registration.Finish())
+                continue;
+            // Last part: read the slots' sizes before publishing, since
+            // publishing lets the trainers refill them.
+            std::size_t bytes = 0;
+            for (const UpdateBatch &batch : batch_slots)
+                bytes += batch.grads.size() * sizeof(float);
+            // relaxed: gauges; the watchdog and the pressure monitor
+            // tolerate skew.
+            pending_bytes.fetch_sub(bytes, std::memory_order_relaxed);
+            // relaxed: see above.
+            pending_batches.fetch_sub(n_gpus, std::memory_order_relaxed);
+            drained_steps.store(s + 1, std::memory_order_release);
+            nudge_gate();
+            if (auto stall_ms =
+                    FaultPoint(injector, FaultSite::kStagingDrainStall,
+                               static_cast<std::uint64_t>(s))) {
+                FRUGAL_WARN("fault injection: step registration stalls "
+                            << *stall_ms << " ms after step " << s);
+                // The nap sits *after* the gate reopened: the peers run
+                // step s + 1 and then wait at its barrier for this
+                // trainer.
+                // retry-exempt: injected stall, not a retry backoff.
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    std::max<std::uint32_t>(*stall_ms, 1)));
+            }
+            return;
+        }
+    };
 
 #if FRUGAL_DCHECK_ENABLED
     // The invariant auditor (§3.3 safety argument, machine-checked).
@@ -281,6 +391,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             // relaxed: the completion callback is the only writer and
             // runs single-threaded between steps.
             const Step s = current_step.load(std::memory_order_relaxed);
+            // Open step s's registration round: every trainer finished
+            // claiming step s - 1's parts before it arrived here.
+            registration.Reset();
             if (step_hook)
                 step_hook(s);
 #if FRUGAL_DCHECK_ENABLED
@@ -289,9 +402,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
 #endif
             // --- consistent checkpoint barrier --------------------
             // All trainers are parked in the barrier, so no new updates
-            // can be produced: wait for the pipeline to drain (staging
-            // empties, the drainer registers step s's writes, flushers
-            // apply them all), then the host table + optimizer state IS
+            // can be produced: register step s here (the trainers then
+            // find no part left to claim), wait for the flushers to
+            // apply everything, and the host table + optimizer state IS
             // the model as of the end of step s.
             if (config_.checkpoint_every_steps > 0 &&
                 !config_.checkpoint_path.empty() &&
@@ -299,10 +412,10 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                         config_.checkpoint_every_steps ==
                     0) {
                 const auto pause_start = std::chrono::steady_clock::now();
+                register_step(s);
                 auto quiescent = [&] {
                     return drained_steps.load(std::memory_order_acquire) >=
                                s + 1 &&
-                           staging.size() == 0 &&
                            queue->SizeApprox() == 0 &&
                            // relaxed: trainers are parked in this
                            // barrier, so emitted is frozen; only
@@ -583,118 +696,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         }
     });
 
-    // --- staging drain thread -----------------------------------------
-    std::thread drainer([&] {
-        const std::size_t dim = config_.dim;
-        std::vector<std::vector<UpdateBatch>> step_batches(n_steps);
-        /** Row reference used to order one step's records canonically. */
-        struct RowRef
-        {
-            Key key;
-            GpuId src;
-            std::uint32_t batch;
-            std::uint32_t row;
-        };
-        std::vector<RowRef> order;
-        std::vector<Key> unique_keys;
-        std::vector<GEntry *> entries;
-        while (true) {
-            // Timed pop: a drain loop that can wake on its own never
-            // hangs on a dead producer, and the watchdog can observe
-            // staging_size while we are parked here.
-            auto popped = staging.PopBatchFor(
-                std::size_t{64}, std::chrono::milliseconds(100));
-            if (popped.empty()) {
-                if (staging.closed())
-                    break;  // closed and drained
-                continue;   // timed out; keep waiting
-            }
-            for (UpdateBatch &incoming : popped) {
-                const Step s = incoming.step;
-                // relaxed: pressure gauge; the monitor tolerates skew
-                // against the trainers' increments.
-                staging_bytes.fetch_sub(
-                    incoming.grads.size() * sizeof(float),
-                    std::memory_order_relaxed);
-                step_batches[s].push_back(std::move(incoming));
-                if (step_batches[s].size() < n_gpus)
-                    continue;
-                // Step complete everywhere: now its R-set removals and
-                // W-set insertions are safe. Register in (key, src)
-                // order so a key's W records always *arrive* in
-                // canonical order — a flush may otherwise split one
-                // step's records for a key across two takes and apply
-                // them in whatever order the GPUs happened to stage
-                // them. Sorting an index of (key, src) row references
-                // replaces the old sort of whole per-key messages.
-                order.clear();
-                for (std::uint32_t b = 0; b < n_gpus; ++b) {
-                    const UpdateBatch &batch = step_batches[s][b];
-                    const std::vector<Key> &keys = *batch.keys;
-                    for (std::uint32_t r = 0; r < keys.size(); ++r)
-                        order.push_back(
-                            RowRef{keys[r], batch.src, b, r});
-                }
-                std::sort(order.begin(), order.end(),
-                          [](const RowRef &a, const RowRef &b) {
-                              return a.key != b.key ? a.key < b.key
-                                                    : a.src < b.src;
-                          });
-                // Consecutive refs with equal keys hit the same
-                // g-entry; resolve the step's whole (sorted, unique)
-                // key list in one batched registry call — one shard
-                // lock per same-shard run instead of one per key.
-                unique_keys.clear();
-                for (const RowRef &ref : order) {
-                    if (unique_keys.empty() ||
-                        ref.key != unique_keys.back())
-                        unique_keys.push_back(ref.key);
-                }
-                entries.resize(unique_keys.size());
-                registry.GetOrCreateBatch(unique_keys, entries.data());
-                // One stamp for the step's records: flush lag is
-                // measured from here, and the whole step registers in
-                // one pass.
-                const auto staged_at = std::chrono::steady_clock::now();
-                std::size_t run = 0;
-                for (const RowRef &ref : order) {
-                    if (ref.key != unique_keys[run])
-                        ++run;  // order and unique_keys sort identically
-                    const UpdateBatch &batch = step_batches[s][ref.batch];
-                    const float *grad =
-                        batch.grads.data() +
-                        static_cast<std::size_t>(ref.row) * dim;
-                    RegisterUpdate(
-                        *queue, *entries[run],
-                        WriteRecord{s, ref.src,
-                                    std::vector<float>(grad, grad + dim),
-                                    staged_at});
-                }
-                step_batches[s].clear();
-                step_batches[s].shrink_to_fit();
-                drained_steps.store(s + 1, std::memory_order_release);
-                nudge_gate();
-                if (auto stall_ms = FaultPoint(
-                        injector, FaultSite::kStagingDrainStall,
-                        static_cast<std::uint64_t>(s))) {
-                    FRUGAL_WARN("fault injection: staging drain stalls "
-                                << *stall_ms << " ms after step " << s);
-                    // The nap sits *after* the gate reopened for the
-                    // next step: trainers run against a parked drainer,
-                    // which is the interesting regime — a bounded
-                    // staging queue must fill and throttle the pushers
-                    // (§12.1) rather than grow without limit.
-                    // retry-exempt: injected stall, not a retry backoff.
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            std::max<std::uint32_t>(*stall_ms, 1)));
-                }
-            }
-        }
-        drain_done.store(true, std::memory_order_release);
-        nudge_gate();
-    });
-
     // --- flush threads (§3.4 parallel flushing + recovery slots) ------
     auto await_host_write = [&](Key key) {
         // Transient host-write failures retry under the unified policy
@@ -780,16 +781,23 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     auto flush_entry_run = [&](GEntry &entry,
                                Histogram *lag_hist) -> std::size_t {
         SpinGuard guard(entry.lock());
-        if (entry.enqueuedLocked()) {
-            // Same zombie-retire rule as FlushClaimed: we consume any
-            // newer writes below, so the standing enqueue must go.
-            const Priority standing = entry.priorityLocked();
+        // Same zombie-retire rule as FlushClaimed: we consume any newer
+        // writes below, so a standing enqueue must go — but only after
+        // they are applied and the cache refreshed, since its count is
+        // what keeps the gate closed for the step that re-enqueued it.
+        const bool standing = entry.enqueuedLocked();
+        const Priority standing_priority = entry.priorityLocked();
+        auto retire_standing = [&] {
+            if (!standing)
+                return;
             entry.setEnqueuedLocked(false);
-            queue->Unenqueue(&entry, standing);
-        }
+            queue->Unenqueue(&entry, standing_priority);
+        };
         std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-        if (writes.empty())
+        if (writes.empty()) {
+            retire_standing();
             return 0;
+        }
         std::sort(writes.begin(), writes.end(),
                   [](const WriteRecord &a, const WriteRecord &b) {
                       return a.step != b.step ? a.step < b.step
@@ -813,6 +821,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         table_->ApplyGradients(key, grad_ptrs.data(), writes.size(),
                                *optimizer_);
         refresh_cache(key);
+        retire_standing();
         if (lag_hist != nullptr) {
             lag_hist->Add(Seconds(writes.front().staged,
                                   std::chrono::steady_clock::now()));
@@ -846,9 +855,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                         return;
                     if (config_.coalesced_flush) {
                         // Idle, coalesced shape: flat self-wake, off
-                        // the gate CV. The drainer's nudge_gate is a
-                        // notify_all; four flushers parked on it turn
-                        // every drained step into a thundering herd
+                        // the gate CV. A step registration's nudge_gate
+                        // is a notify_all; four flushers parked on it
+                        // turn every step into a thundering herd
                         // whose losers wake, rescan and re-park. The
                         // gate-blocked trainer now claims its own
                         // blockers (cooperative flush), so an idle
@@ -860,9 +869,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                             std::min(idle_sleep * 2,
                                      std::chrono::microseconds(4000));
                     } else {
-                        // Idle: block until the drainer publishes new
-                        // work (or winds down) instead of burning the
-                        // timeslice.
+                        // Idle: block until a step registration
+                        // publishes new work (or the run winds down)
+                        // instead of burning the timeslice.
                         std::unique_lock<std::mutex> lock(gate_mutex);
                         gate_cv.wait_for(
                             lock, std::chrono::microseconds(500), [&] {
@@ -1091,7 +1100,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             // relaxed: diagnostic snapshot (see above).
             snap.updates_applied =
                 updates_applied.load(std::memory_order_relaxed);
-            snap.staging_size = staging.size();
+            // relaxed: diagnostic snapshot (see above).
+            snap.staging_size =
+                pending_batches.load(std::memory_order_relaxed);
             snap.pq_size = queue->SizeApprox();
             for (const auto &slot : flusher_slots) {
                 if (slot->dead.load(std::memory_order_acquire)) {
@@ -1163,8 +1174,12 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         auto diagnose = [&]() -> std::string {
             std::ostringstream out;
             out << queue->DebugDump();
-            out << "staging " << staging.size() << "/" << staging_cap
-                << " batch(es), drained through step "
+            // relaxed: diagnostic read; skew against the round is fine.
+            out << pending_batches.load(std::memory_order_relaxed)
+                << " batch(es) emitted but unregistered, registration "
+                << registration.claimed() << "/" << registration.parts()
+                << " part(s) claimed, " << registration.done()
+                << " done, registered through step "
                 << drained_steps.load(std::memory_order_acquire)
                 << ", prefetch frontier "
                 << prefetch_frontier.load(std::memory_order_acquire)
@@ -1221,7 +1236,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 budget->Publish(MemoryComponent::kCache, cache_total);
                 budget->Publish(MemoryComponent::kQueue,
                                 // relaxed: gauge; skew tolerated.
-                                staging_bytes.load(
+                                pending_bytes.load(
                                     std::memory_order_relaxed));
                 const PressureStage stage = budget->Evaluate();
                 if (stage != reacted) {
@@ -1230,8 +1245,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     // so it is the FIRST mechanism shed — at elevated,
                     // before the prefetch window narrows and long
                     // before caches shrink. Elevated also sheds the
-                    // prefetch window (fewer R sets and staged batches
-                    // in flight) and the flush coalescing width;
+                    // prefetch window (fewer R sets in flight) and the
+                    // flush coalescing width;
                     // critical additionally halves the GPU caches —
                     // safe at any moment because the cache is
                     // write-through, so eviction changes throughput,
@@ -1389,15 +1404,15 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                                         std::memory_order_relaxed),
                                     t, s) == 0) {
                                 // Nothing claimable: the gate waits on
-                                // the prefetcher/drainer, or the work
-                                // is in flight on a flusher. Yield
-                                // first — on a machine with fewer
-                                // cores than threads that hands the
-                                // timeslice straight to whichever
-                                // thread the gate is waiting for,
-                                // without a futex round trip — and
-                                // only park on the CV after a streak
-                                // of fruitless passes.
+                                // the prefetcher or a peer's step
+                                // registration, or the work is in
+                                // flight on a flusher. Yield first — on
+                                // a machine with fewer cores than
+                                // threads that hands the timeslice
+                                // straight to whichever thread the gate
+                                // is waiting for, without a futex round
+                                // trip — and only park on the CV after
+                                // a streak of fruitless passes.
                                 if (++idle_passes < kAssistYields) {
                                     std::this_thread::yield();
                                 } else {
@@ -1577,44 +1592,22 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     // --- model (forward+backward) ---
                     grad_fn(trace_gpu, s, keys, values, &grads);
 
-                    // --- emit one batch per (step, trace GPU) ---
-                    // The batch doubles as the end marker: the drainer
-                    // treats the step as complete once n_gpus batches
-                    // for it arrived.
-                    UpdateBatch batch;
+                    // --- emit into the trace GPU's batch slot ---
+                    // The swap hands the trainer the slot's previous
+                    // (already registered) buffer to refill next step,
+                    // so the steady state never reallocates.
+                    UpdateBatch &batch = batch_slots[trace_gpu];
                     batch.step = s;
                     batch.src = trace_gpu;
                     batch.keys = &keys;
-                    batch.grads = std::move(grads);
-                    const std::size_t batch_bytes =
-                        batch.grads.size() * sizeof(float);
-                    // Bounded staging: PushFor consumes the batch only
-                    // on success, so a full queue throttles the trainer
-                    // in timed slices (backpressure) instead of growing
-                    // memory without limit. The queue cannot close
-                    // before every trainer joined, so the push always
-                    // lands eventually.
-                    if (!staging.PushFor(batch,
-                                         std::chrono::microseconds(0))) {
-                        ++local.throttle_events;
-                        const auto throttle_start =
-                            std::chrono::steady_clock::now();
-                        while (!staging.PushFor(
-                            batch, std::chrono::milliseconds(1))) {
-                            FRUGAL_CHECK(!staging.closed());
-                        }
-                        local.throttle_wait_ns +=
-                            static_cast<std::uint64_t>(
-                                std::chrono::duration_cast<
-                                    std::chrono::nanoseconds>(
-                                    std::chrono::steady_clock::now() -
-                                    throttle_start)
-                                    .count());
-                    }
-                    // relaxed: pressure gauge; the monitor tolerates
-                    // skew against the drainer's decrements.
-                    staging_bytes.fetch_add(batch_bytes,
-                                            std::memory_order_relaxed);
+                    batch.grads.swap(grads);
+                    // relaxed: gauges; registration's decrement is
+                    // ordered after this by the step barrier.
+                    pending_bytes.fetch_add(
+                        batch.grads.size() * sizeof(float),
+                        std::memory_order_relaxed);
+                    // relaxed: see above.
+                    pending_batches.fetch_add(1, std::memory_order_relaxed);
                     local.updates_emitted += keys.size();
                 }
 
@@ -1632,29 +1625,29 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 // relaxed: see above.
                 gate_waits.fetch_add(local.gate_waits,
                                      std::memory_order_relaxed);
-                // relaxed: see above.
-                throttle_events.fetch_add(local.throttle_events,
-                                          std::memory_order_relaxed);
-                // relaxed: see above.
-                throttle_wait_ns.fetch_add(local.throttle_wait_ns,
-                                           std::memory_order_relaxed);
                 local = TrainerLocalStats{};
 
                 step_barrier.arrive_and_wait();
+                // Register step s: every trainer has left it now. A
+                // trainer killed at this boundary claims nothing; the
+                // survivors take its share (parts are keyed by hash,
+                // not by trainer).
+                if (!trainer_dead[t].load(std::memory_order_acquire))
+                    register_step(s);
             }
         });
     }
 
     for (auto &t : trainers)
         t.join();
-    // All updates are staged; let the pipeline wind down (paper: "the
-    // system waits for flushing threads to write all deferred parameter
-    // updates to host memory").
-    staging.Close();
-    // Satellite: wake any prefetcher parked on the gate CV so teardown
-    // never waits out a full 50 ms timed re-check slice.
+    // Every step is registered (each trainer registers after its last
+    // barrier); let the pipeline wind down (paper: "the system waits for
+    // flushing threads to write all deferred parameter updates to host
+    // memory").
+    drain_done.store(true, std::memory_order_release);
+    // Wake any prefetcher parked on the gate CV so teardown never waits
+    // out a full 50 ms timed re-check slice.
     nudge_gate();
-    drainer.join();
     prefetcher.join();
     run_complete.store(true, std::memory_order_release);
 
@@ -1757,9 +1750,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     report.recovery.checkpoint_save_seconds = checkpoint_save_seconds;
     if (watchdog != nullptr)
         watchdog->Harvest(&report.recovery);
-    report.overload.throttle_events = throttle_events.load();
-    report.overload.throttle_wait_seconds =
-        static_cast<double>(throttle_wait_ns.load()) * 1e-9;
     report.overload.cache_rows_shed = cache_rows_shed.load();
     if (budget != nullptr) {
         report.overload.pressure_transitions = budget->transitions();

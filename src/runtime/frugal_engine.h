@@ -1,22 +1,23 @@
 /**
  * @file
  * The full Frugal system (§3): trainer threads with the P²F gate, a
- * controller (prefetch thread, staging-drain thread, N flush threads),
- * private sharded GPU caches, UVA-style direct host reads, and the
+ * controller (prefetch thread, N flush threads), private sharded GPU
+ * caches, UVA-style direct host reads, and the
  * two-level PQ (or the TreeHeap baseline) scheduling proactive flushes.
  *
  * Thread roles (Fig. 5):
  *  - n trainer threads: gate on `PQ.top() > s`, gather (local cache for
  *    owned keys, host memory for the rest), run the model callback, and
- *    emit ⟨key, step, Δ⟩ records plus an end-of-step marker into the
- *    update staging queue;
+ *    write the step's ⟨key, step, Δ⟩ records into their trace GPU's
+ *    batch slot. Right after the step barrier the trainers register the
+ *    step into the g-entries/W sets and adjust PQ priorities, splitting
+ *    the work into fixed key-hash parts that any awake trainer claims.
+ *    Registering only after the barrier matters: removing step s from an
+ *    R set while another GPU is still executing step s would let a
+ *    flush expose a post-step value mid-step (a race the paper's proof
+ *    implicitly excludes);
  *  - 1 prefetch thread: walks the trace `L` steps ahead of training and
  *    registers R-set entries (the sample queue);
- *  - 1 drain thread: moves staged updates into g-entries/W sets and
- *    adjusts PQ priorities. A step's records are held back until all of
- *    its end markers arrive: removing step s from an R set while another
- *    GPU is still executing step s would let a flush expose a post-step
- *    value mid-step (a race the paper's proof implicitly excludes);
  *  - `flush_threads` flush threads: claim min-priority g-entries, apply
  *    their W sets to host memory, refresh the owner GPU's cached copy
  *    ("H2D"), and wake the gate.

@@ -59,8 +59,12 @@ Watchdog::Start()
     {
         MutexLock lock(mutex_);
         stop_requested_ = false;
+        sampling_ = false;
     }
     thread_ = std::thread([this] { Loop(); });
+    MutexLock lock(mutex_);
+    while (!sampling_)
+        mutex_.Wait(cv_);
 }
 
 void
@@ -96,7 +100,7 @@ Watchdog::Classify(const ProgressSnapshot &snap)
             : 0;
     if (unapplied > 0) {
         // Updates exist but aren't reaching the table. Where are they
-        // stuck? If they haven't cleared staging, the drainer is the
+        // stuck? If their step isn't registered yet, registration is the
         // bottleneck; if the PQ is also empty, they're claimed by
         // someone who isn't flushing.
         if (snap.staging_size > 0 && snap.drained_steps < snap.current_step)
@@ -116,6 +120,11 @@ Watchdog::Loop()
     ProgressSnapshot last = snapshot_();
     auto last_progress = std::chrono::steady_clock::now();
     bool stall_reported = false;
+    {
+        MutexLock lock(mutex_);
+        sampling_ = true;
+    }
+    cv_.notify_all();
 
     for (;;) {
         {

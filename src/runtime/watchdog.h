@@ -3,9 +3,10 @@
  * Stall watchdog for the Frugal runtime.
  *
  * The engine's liveness rests on a chain of producers: trainers emit
- * updates, the drainer registers them, flush threads apply them, and
- * the gate reopens. A dead flush thread (claims never flushed) or a
- * stalled drainer silently freezes the whole pipeline — the gate
+ * updates, the trainers register them after each step barrier, flush
+ * threads apply them, and the gate reopens. A dead flush thread (claims
+ * never flushed) or a stalled step registration silently freezes the
+ * whole pipeline — the gate
  * predicate `HasPendingAtOrBelow(s)` never clears, trainers wait
  * forever, and nothing reports why. The Watchdog is a sampling thread
  * that (a) detects lack of progress past a deadline, (b) classifies
@@ -49,6 +50,7 @@ struct ProgressSnapshot
     Step prefetch_frontier = 0;
     std::uint64_t updates_emitted = 0;
     std::uint64_t updates_applied = 0;
+    /** Update batches emitted but not yet registered into g-entries. */
     std::size_t staging_size = 0;
     std::size_t pq_size = 0;
     /** Flush threads whose slots are flagged dead. */
@@ -70,7 +72,7 @@ enum class StallKind {
     /** Work is claimed (emitted > applied, PQ drained) but nobody is
      *  flushing it — claims leaked without a dead flag. */
     kClaimLeak,
-    /** Updates were emitted but the drainer isn't registering them. */
+    /** Updates were emitted but their step is not getting registered. */
     kDrainStall,
     /** Pipeline is empty yet idle — likely a lost gate wakeup. */
     kEmptyQueueIdle,
@@ -109,7 +111,12 @@ class Watchdog
     Watchdog(const Watchdog &) = delete;
     Watchdog &operator=(const Watchdog &) = delete;
 
-    /** Starts the sampling thread (idempotent guard via FRUGAL_CHECK). */
+    /**
+     * Starts the sampling thread (idempotent guard via FRUGAL_CHECK) and
+     * returns once it has taken its baseline snapshot, so the stall clock
+     * starts before the work it watches rather than whenever a loaded
+     * scheduler first runs the new thread.
+     */
     void Start();
 
     /** Stops and joins the sampling thread; safe to call twice. */
@@ -138,6 +145,8 @@ class Watchdog
     Mutex mutex_;
     std::condition_variable cv_;
     bool stop_requested_ FRUGAL_GUARDED_BY(mutex_) = false;
+    /** Set by the sampling thread once its baseline snapshot is taken. */
+    bool sampling_ FRUGAL_GUARDED_BY(mutex_) = false;
     // tsa-exempt: written in Start() before the sampling thread exists
     // and joined in Stop(); never accessed under mutex_.
     std::thread thread_;

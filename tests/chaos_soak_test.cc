@@ -2,10 +2,10 @@
  * @file
  * Chaos-soak harness (DESIGN.md §12.4): long randomized fault campaigns
  * against the full FrugalEngine pipeline. Each campaign is a *seeded*
- * FaultPlan — flusher deaths, transient host writes, drainer stalls,
- * torn checkpoint writes — layered over thousands of training steps,
- * optionally under a backpressure-bounded staging queue and a mid-run
- * memory-budget squeeze. The assertions are the system's whole
+ * FaultPlan — flusher deaths, transient host writes, step-registration
+ * stalls, torn checkpoint writes — layered over thousands of training
+ * steps, optionally with a trainer death and a mid-run memory-budget
+ * squeeze. The assertions are the system's whole
  * robustness contract at once:
  *
  *   liveness     — the run terminates (no wedged gate, no leaked claim);
@@ -80,7 +80,7 @@ ExpectCampaignSound(const RunReport &report)
     EXPECT_EQ(report.audit_violations, 0u);
 }
 
-/** Scatters `count` drainer stalls of `payload_ms` over the soak at
+/** Scatters `count` step-registration stalls of `payload_ms` over the soak at
  *  seed-derived steps (the "randomized" in randomized chaos). */
 void
 AddRandomDrainStalls(FaultPlan &plan, Rng &rng, int count,
@@ -97,7 +97,7 @@ AddRandomDrainStalls(FaultPlan &plan, Rng &rng, int count,
 
 // Campaign 1: pipeline faults. A deterministic first-claim flusher
 // death plus a probabilistic death tail, flaky host writes, seeded
-// drainer stalls, and a transiently torn checkpoint write — all riding
+// registration stalls, and a transiently torn checkpoint write — all riding
 // one 2k-step run with periodic checkpoint barriers.
 TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
 {
@@ -149,14 +149,12 @@ TEST(ChaosSoakTest, PipelineFaultCampaignRecoversBitEqual)
     std::remove((config.checkpoint_path + ".tmp").c_str());
 }
 
-// Campaign 2: overload under degradation. A one-batch staging bound
-// (below the per-step batch fan-in) while a trainer death forces the
-// survivor into degraded mode — it emits its dead peer's batch
-// back-to-back with its own each step, so the second push meets a full
-// queue before the drainer can wake and throttles. Flaky writes and
-// drainer stalls ride along; backpressure must slow the run down, not
-// lose updates or blow the bound.
-TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
+// Campaign 2: overload under degradation. A trainer death forces the
+// survivor into degraded mode — it executes its dead peer's share
+// back-to-back with its own each step and registers every part of each
+// step alone. Flaky writes, registration stalls and a slow flush path
+// ride along; the overload must slow the run down, not lose updates.
+TEST(ChaosSoakTest, OverloadCampaignRecoversWithoutLoss)
 {
     FaultPlan plan;
     plan.seed = 2002;
@@ -175,7 +173,6 @@ TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
 
     EngineConfig config = SoakConfig();
     config.fault_injector = &injector;
-    config.update_queue_cap = 1;  // below the per-step batch fan-in
     config.flush_delay_us = 2;
 
     Rng rng(42);
@@ -188,8 +185,6 @@ TEST(ChaosSoakTest, OverloadCampaignThrottlesWithoutLoss)
 
     ExpectCampaignSound(report);
     EXPECT_EQ(report.recovery.trainer_deaths, 1u);
-    EXPECT_GT(report.overload.throttle_events, 0u);
-    EXPECT_GT(report.overload.throttle_wait_seconds, 0.0);
     ExpectOracleEqual(engine, trace, task);
 }
 

@@ -1,16 +1,20 @@
 /**
  * Fault-tolerance tests: scripted fault plans kill flush threads
- * mid-claim, fail host writes transiently, stall the drainer, and kill
- * trainers at step boundaries — the watchdog must detect and recover,
+ * mid-claim, fail host writes transiently, stall step registration, and
+ * kill trainers at step boundaries — the watchdog must detect and recover,
  * and the final table must stay bit-equal to the fault-free oracle.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <algorithm>
+
+#include <unistd.h>
 
 #include "common/distribution.h"
 #include "common/fault_injector.h"
@@ -450,9 +454,61 @@ TEST(FaultToleranceTest, TrainerDeathWithAdagradStateStaysExact)
     ExpectOracleEqual(engine, trace, task);
 }
 
+TEST(FaultToleranceTest, TrainerDeathOnCheckpointBoundaryExactAndResumable)
+{
+    // A trainer death and a due checkpoint on the same step boundary,
+    // with three trainers. The barrier completion registers step 11
+    // itself for the checkpoint and then kills GPU 2; from step 12 on
+    // the two survivors claim the dead trainer's share of every step's
+    // registration parts. The run must match the oracle, and resuming
+    // from the checkpoint must land on the same table and optimizer
+    // state.
+    FaultPlan plan;
+    FaultRule death;
+    death.site = FaultSite::kTrainerDeath;
+    death.context = 11;  // the boundary after step 11...
+    death.payload = 2;
+    plan.rules.push_back(death);
+    FaultInjector injector(plan);
+
+    const std::string path = ::testing::TempDir() +
+                             "frugal_death_on_checkpoint_boundary_" +
+                             std::to_string(getpid()) + ".ckpt";
+    EngineConfig config = BaseConfig();
+    config.n_gpus = 3;
+    config.optimizer = "adagrad";
+    config.fault_injector = &injector;
+    config.checkpoint_every_steps = 12;  // ...is also a checkpoint
+    config.checkpoint_path = path;
+    Rng rng(28);
+    ZipfDistribution dist(config.key_space, 0.9);
+    const Trace trace = Trace::Synthetic(dist, rng, 20, 3, 12);
+    FrugalEngine engine(config);
+    const GradFn task = MakeLinearGradTask();
+    const RunReport report = engine.Run(trace, task);
+
+    EXPECT_EQ(report.recovery.trainer_deaths, 1u);
+    EXPECT_EQ(report.recovery.checkpoint_barriers, 1u);
+    EXPECT_EQ(report.audit_violations, 0u);
+    ExpectOracleEqual(engine, trace, task);
+
+    EngineConfig resume_config = BaseConfig();
+    resume_config.n_gpus = 3;
+    resume_config.optimizer = "adagrad";
+    FrugalEngine resumed(resume_config);
+    const auto cursor = resumed.ResumeFrom(path);
+    ASSERT_TRUE(cursor.has_value());
+    EXPECT_EQ(*cursor, 12u);
+    resumed.Run(trace.Slice(*cursor, trace.NumSteps()), task);
+    EXPECT_TRUE(TablesBitEqual(resumed.table(), engine.table()));
+    EXPECT_EQ(resumed.optimizer().ExportState(),
+              engine.optimizer().ExportState());
+    std::remove(path.c_str());
+}
+
 TEST(FaultToleranceTest, StagingDrainStallToleratedAndDiagnosable)
 {
-    // The drainer naps 50 ms at one step; consistency must hold (the
+    // Step registration naps 50 ms at one step; consistency must hold (the
     // gate simply stays closed longer) and the injection is visible in
     // the fault counters.
     FaultPlan plan;

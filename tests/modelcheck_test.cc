@@ -18,6 +18,11 @@
  *  - slot-set accounting: per segment, popped ≤ published at every
  *    instant (the announce-before-publish protocol).
  *
+ *  - step registration: the gate for the next step never opens while a
+ *    registration part is unregistered, and every part is registered
+ *    exactly once (PartClaimer, the protocol FrugalEngine's trainers
+ *    run right after the step barrier).
+ *
  * The *_ReorderBugCaught test is the negative control: it runs the
  * exact announce/publish protocol of AtomicSlotSet::Insert with the
  * PR 1 bug shape deliberately re-introduced (pointer published before
@@ -38,6 +43,7 @@
 
 #include "check/model_sync.h"
 #include "check/scheduler.h"
+#include "common/part_claimer.h"
 #include "common/spinlock.h"
 #include "common/types.h"
 #include "pq/atomic_slot_set.h"
@@ -503,6 +509,54 @@ TEST(ModelCheckTwoLevelPQ, GateVsEnqueueAndFlush)
     EXPECT_GE(result.distinct_schedules, kDistinctTarget);
 }
 
+// A read registered while the entry's writes are claimed re-enqueues it
+// at that read's step (a "zombie" standing enqueue), while the claim's
+// in-flight count stays at the claim priority (∞ here). The flush that
+// takes the writes must keep the standing enqueue — and with it the gate
+// for step 1 — in place until the writes reach host memory; retiring it
+// before the apply lets a step-1 reader through with the update still
+// unapplied.
+TEST(ModelCheckTwoLevelPQ, ZombieEnqueueKeepsGateClosedUntilApplied)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    const check::Result result = check::Explore(
+        DefaultOptions(), [](check::Explorer &ex) {
+            auto st = std::make_shared<PQState>(/*n_shards=*/2);
+            auto host = std::make_shared<model_atomic<int>>(0);
+            st->SeedDeferred(0);
+            std::vector<ClaimTicket> claimed;
+            st->queue.DequeueClaim(claimed, 1, /*shard_hint=*/0);
+            ex.Check(claimed.size() == 1, "seed: deferred entry claimed");
+            st->RecordClaim(claimed[0]);
+            RegisterRead(st->queue, st->entry(0), /*step=*/1);
+            const ClaimTicket ticket = claimed[0];
+
+            ex.Thread([st, host, ticket] {
+                FlushClaimed(st->queue, ticket,
+                             [host](Key, const WriteRecord &) {
+                                 host->store(1);
+                             });
+            });
+            ex.Thread([st, host] {
+                for (int attempt = 0; attempt < 3; ++attempt) {
+                    if (!st->queue.HasPendingAtOrBelow(1)) {
+                        check::ModelAssert(
+                            host->load() == 1,
+                            "gate opened before the re-enqueued write "
+                            "reached host memory");
+                    }
+                }
+            });
+            ex.Go();
+            st->CheckDrainedExactlyOnce(ex, /*expect_claims=*/1);
+            ex.Check(host->load() == 1, "host memory holds the update");
+        });
+
+    ReportExploration("ZombieEnqueueKeepsGateClosedUntilApplied", result);
+    EXPECT_TRUE(result.clean()) << result.first_violation;
+    EXPECT_GE(result.distinct_schedules, kDistinctTarget);
+}
+
 // --------------------------------------------------------------------
 // Bounded-queue gate protocol (BlockingQueue::PushFor / Pop).
 //
@@ -647,6 +701,130 @@ TEST(ModelCheckBoundedQueue, StaleGateOvershootCaught)
         << "the explorer failed to catch the stale push-full gate: "
         << result.Summary();
     EXPECT_NE(result.first_violation.find("gate breached"),
+              std::string::npos)
+        << result.first_violation;
+}
+
+// --------------------------------------------------------------------
+// Step registration: right after the step barrier, trainers claim the
+// step's registration parts through PartClaimer while a trainer already
+// at the next gate polls it. The gate must open only once every part is
+// registered, and each part must be registered exactly once.
+// --------------------------------------------------------------------
+
+/** What the model gate tests to decide that a step is registered. */
+enum class RegistrationGate {
+    /** The engine's predicate: the last finisher's publication
+     *  (drained_steps). */
+    kLastFinisherPublished,
+    /** The bug shape: every part merely claimed. */
+    kAllPartsClaimed,
+};
+
+/** Per-run registration fixture: one step, three parts (more parts than
+ *  the two trainers, as after a trainer death). */
+struct RegistrationState
+{
+    static constexpr std::uint32_t kParts = 3;
+    /** Records per part: two, so a claimer can be preempted mid-part. */
+    static constexpr int kRecordsPerPart = 2;
+
+    PartClaimer claimer{kParts};
+    std::array<model_atomic<int>, kParts> claims{};
+    std::array<model_atomic<int>, kParts> records{};
+    /** The engine's drained_steps, for one step. */
+    model_atomic<int> published{0};
+
+    /** A trainer's post-barrier loop (FrugalEngine's register_step). */
+    void
+    RegisterClaimedParts()
+    {
+        for (std::uint32_t part = claimer.Claim(); part < kParts;
+             part = claimer.Claim()) {
+            check::ModelAssert(claims[part].fetch_add(1) == 0,
+                               "registration part claimed twice");
+            for (int r = 0; r < kRecordsPerPart; ++r)
+                records[part].fetch_add(1);
+            if (claimer.Finish()) {
+                check::ModelAssert(published.load() == 0,
+                                   "step published twice");
+                published.store(1);
+            }
+        }
+    }
+
+    bool
+    GateOpen(RegistrationGate gate) const
+    {
+        return gate == RegistrationGate::kLastFinisherPublished
+                   ? published.load() == 1
+                   : claimer.claimed() == kParts;
+    }
+};
+
+check::Result
+ExploreStepRegistration(RegistrationGate gate, const check::Options &options)
+{
+    return check::Explore(options, [gate](check::Explorer &ex) {
+        auto state = std::make_shared<RegistrationState>();
+        state->claimer.Reset();  // the barrier completion's reset
+        ex.Thread([state] { state->RegisterClaimedParts(); });
+        ex.Thread([state] { state->RegisterClaimedParts(); });
+        ex.Thread([state, gate] {
+            for (int i = 0; i < 3; ++i) {
+                if (!state->GateOpen(gate))
+                    continue;
+                for (const auto &records : state->records) {
+                    check::ModelAssert(
+                        records.load() ==
+                            RegistrationState::kRecordsPerPart,
+                        "gate opened with a part unregistered");
+                }
+            }
+        });
+        ex.Go();
+
+        // Quiescent: only for the expected-clean variant (a
+        // violation-aborted run unwinds the claimers mid-part).
+        if (gate == RegistrationGate::kLastFinisherPublished) {
+            for (std::uint32_t p = 0; p < RegistrationState::kParts; ++p) {
+                ex.Check(state->claims[p].load() == 1,
+                         "every part claimed exactly once");
+                ex.Check(state->records[p].load() ==
+                             RegistrationState::kRecordsPerPart,
+                         "every part fully registered");
+            }
+            ex.Check(state->claimer.done() == RegistrationState::kParts,
+                     "every part finished");
+            ex.Check(state->published.load() == 1,
+                     "the step was published");
+        }
+    });
+}
+
+TEST(ModelCheckStepRegistration, GateOpensOnlyWhenEveryPartRegistered)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    const check::Result result = ExploreStepRegistration(
+        RegistrationGate::kLastFinisherPublished, DefaultOptions());
+    ReportExploration("StepRegistration", result);
+    EXPECT_TRUE(result.clean()) << result.first_violation;
+    EXPECT_GE(result.distinct_schedules, kDistinctTarget);
+}
+
+TEST(ModelCheckStepRegistration, ClaimedNotDoneGateCaught)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    check::Options options = DefaultOptions();
+    options.stop_on_violation = true;
+    const check::Result result = ExploreStepRegistration(
+        RegistrationGate::kAllPartsClaimed, options);
+    ReportExploration("StepRegistrationClaimedGateCaught", result);
+    ASSERT_GT(result.violations, 0u)
+        << "the explorer failed to catch a gate that opens on claimed "
+           "(not registered) parts: "
+        << result.Summary();
+    EXPECT_NE(result.first_violation.find("part unregistered"),
               std::string::npos)
         << result.first_violation;
 }
