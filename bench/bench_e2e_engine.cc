@@ -10,16 +10,6 @@
  * single-threaded oracle before its numbers are emitted: a cell that
  * trains the wrong model does not get to report a throughput.
  *
- * At 4 flush threads the overhauled control plane (sharded dequeue,
- * coalesced batch application, cooperative gate-side flushing) is also
- * run against the *legacy* flush shape (pq_shards=1, per-ticket
- * application, yield-spin dequeue backoff, flusher-only application) —
- * the exact pre-overhaul configuration, kept selectable in
- * EngineConfig — and the speedup is emitted as `e2e_speedup_g{G}_f4`.
- * The single-trainer cell is the cleanest control-plane read: with
- * more trainers than cores both shapes converge on raw compute and the
- * speedup narrows toward 1.
- *
  * Emits BENCH_e2e.json (one {"metric", "value", "unit"} record per
  * measurement) for the check.sh baseline diff. `--smoke` shrinks the
  * trace for CI; `--out PATH` moves the JSON.
@@ -171,8 +161,8 @@ main(int argc, char **argv)
     }
 
     PrintBanner("End-to-end engine (DESIGN.md §9)",
-                "real FrugalEngine: sharded/coalesced flush control "
-                "plane vs the legacy per-ticket shape");
+                "real FrugalEngine across trainer and flush-thread "
+                "counts");
 
     const GradFn task = MakeLinearGradTask();
     const std::vector<std::uint32_t> trainer_counts = {1, 2, 4};
@@ -180,7 +170,7 @@ main(int argc, char **argv)
 
     std::vector<Metric> metrics;
     TablePrinter grid("FrugalEngine throughput (Zipf 0.99 trace)",
-                      {"Trainers", "Flushers", "Shape", "Steps/s",
+                      {"Trainers", "Flushers", "Steps/s",
                        "Hit rate", "Hot%", "Declines", "Lag p50 (us)",
                        "Lag p99 (us)"});
     bool all_bit_equal = true;
@@ -206,15 +196,12 @@ main(int argc, char **argv)
         RunOracle(oracle_table, *oracle_opt, trace, task);
 
         const std::string g = "g" + std::to_string(gpus);
-        double new_f4 = 0.0;
         for (const std::size_t flushers : flusher_counts) {
             const EngineConfig config =
                 BaseConfig(sizes, gpus, flushers);
             const CellResult cell =
                 RunCell(config, trace, task, oracle_table);
             all_bit_equal = all_bit_equal && cell.bit_equal;
-            if (flushers == 4)
-                new_f4 = cell.steps_per_s;
 
             const std::string f = "_f" + std::to_string(flushers);
             metrics.push_back(Metric{"e2e_steps_per_s_" + g + f,
@@ -243,7 +230,7 @@ main(int argc, char **argv)
                            cell.cache.admission_declines),
                        "inserts"});
             grid.AddRow({std::to_string(gpus), std::to_string(flushers),
-                         "sharded", FormatDouble(cell.steps_per_s, 1),
+                         FormatDouble(cell.steps_per_s, 1),
                          FormatDouble(cell.cache.HitRatio() * 100, 1) +
                              "%",
                          FormatDouble(hot_share * 100, 1) + "%",
@@ -257,46 +244,9 @@ main(int argc, char **argv)
                              g.c_str(), flushers);
             }
         }
-
-        // Legacy control: the pre-overhaul flush shape at the widest
-        // flusher count (the acceptance comparison point).
-        EngineConfig legacy = BaseConfig(sizes, gpus, 4);
-        legacy.pq_shards = 1;
-        legacy.coalesced_flush = false;
-        const CellResult legacy_cell =
-            RunCell(legacy, trace, task, oracle_table);
-        all_bit_equal = all_bit_equal && legacy_cell.bit_equal;
-        metrics.push_back(Metric{"legacy_e2e_steps_per_s_" + g + "_f4",
-                                 legacy_cell.steps_per_s, "steps/s"});
-        metrics.push_back(Metric{"e2e_speedup_" + g + "_f4",
-                                 legacy_cell.steps_per_s > 0
-                                     ? new_f4 / legacy_cell.steps_per_s
-                                     : 0.0,
-                                 "x"});
-        grid.AddRow({std::to_string(gpus), "4", "legacy",
-                     FormatDouble(legacy_cell.steps_per_s, 1),
-                     FormatDouble(
-                         legacy_cell.cache.HitRatio() * 100, 1) +
-                         "%",
-                     "-", "-", "-", "-"});
-        if (!legacy_cell.bit_equal) {
-            std::fprintf(stderr,
-                         "FAIL: legacy %s trained table differs from "
-                         "oracle\n",
-                         g.c_str());
-        }
     }
 
     grid.Print();
-
-    TablePrinter speedups("Sharded/coalesced vs legacy @ 4 flushers",
-                          {"Trainers", "Speedup"});
-    for (const Metric &metric : metrics) {
-        if (metric.unit == "x") {
-            speedups.AddRow({metric.name, FormatSpeedup(metric.value)});
-        }
-    }
-    speedups.Print();
 
     WriteJson(metrics, out_path);
     if (!all_bit_equal) {

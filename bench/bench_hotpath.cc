@@ -1,18 +1,10 @@
 /**
  * Data-plane hot-path microbenchmark (DESIGN.md §8).
  *
- * Measures the four paths the flat-layout overhaul rewrote, each against
- * an inline *legacy* reference that reproduces the pre-rewrite
- * implementation shape:
+ * Measures the data-plane structures the flat-layout overhaul rewrote:
  *
- *  - cache get / put: FlatMap + intrusive-array LRU GpuCache vs an
- *    unordered_map + std::list node-based LRU;
- *  - registry get-or-create: single-probe TryEmplace + arena GEntries vs
- *    find-then-emplace over unordered_map<Key, unique_ptr<GEntry>>;
- *  - update-pipeline drain: one UpdateBatch per (step, GPU) vs one
- *    heap-allocated message per key plus end markers, both through a
- *    staging queue and a drain thread — frozen shapes; FrugalEngine
- *    registers each step on its trainers instead;
+ *  - cache get / put: FlatMap + intrusive-array LRU GpuCache;
+ *  - registry get-or-create: single-probe TryEmplace + arena GEntries;
  *  - row kernels: vectorised copy / SGD / Adagrad bandwidth.
  *
  * Emits BENCH_hotpath.json (one {"metric", "value", "unit"} record per
@@ -22,21 +14,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <list>
-#include <memory>
 #include <random>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/gpu_cache.h"
-#include "common/blocking_queue.h"
-#include "common/spinlock.h"
 #include "common/types.h"
 #include "metrics/reporter.h"
-#include "pq/g_entry.h"
 #include "pq/g_entry_registry.h"
 #include "table/row_kernels.h"
 
@@ -59,117 +43,6 @@ struct Metric
     std::string unit;
 };
 
-// --- legacy reference implementations (pre-rewrite shape) --------------
-
-/** The old GpuCache layout: std::list LRU of heap rows, indexed by an
- *  unordered_map of list iterators. */
-class LegacyLruCache
-{
-  public:
-    LegacyLruCache(std::size_t capacity_rows, std::size_t dim)
-        : capacity_(capacity_rows), dim_(dim)
-    {
-    }
-
-    bool
-    TryGet(Key key, float *out)
-    {
-        SpinGuard guard(lock_);
-        auto it = map_.find(key);
-        if (it == map_.end())
-            return false;
-        std::memcpy(out, it->second->row.data(), dim_ * sizeof(float));
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return true;
-    }
-
-    Key
-    Put(Key key, const float *row)
-    {
-        SpinGuard guard(lock_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            std::memcpy(it->second->row.data(), row,
-                        dim_ * sizeof(float));
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return kInvalidKey;
-        }
-        Key evicted = kInvalidKey;
-        if (map_.size() >= capacity_) {
-            evicted = lru_.back().key;
-            map_.erase(evicted);
-            lru_.pop_back();
-        }
-        lru_.push_front(Node{key, std::vector<float>(row, row + dim_)});
-        map_.emplace(key, lru_.begin());
-        return evicted;
-    }
-
-  private:
-    struct Node
-    {
-        Key key;
-        std::vector<float> row;
-    };
-
-    const std::size_t capacity_;
-    const std::size_t dim_;
-    Spinlock lock_{LockRank::kGpuCache};
-    std::list<Node> lru_;
-    std::unordered_map<Key, std::list<Node>::iterator> map_;
-};
-
-/** The old registry layout: sharded unordered_map of unique_ptr entries
- *  with the find-then-emplace double lookup. */
-class LegacyRegistry
-{
-  public:
-    explicit LegacyRegistry(std::size_t shards = 64) : shards_(shards) {}
-
-    GEntry &
-    GetOrCreate(Key key)
-    {
-        Shard &shard = shards_[static_cast<std::size_t>(key) %
-                               shards_.size()];
-        SpinGuard guard(shard.lock);
-        auto it = shard.entries.find(key);
-        if (it == shard.entries.end()) {
-            it = shard.entries
-                     .emplace(key, std::make_unique<GEntry>(key))
-                     .first;
-        }
-        return *it->second;
-    }
-
-  private:
-    struct Shard
-    {
-        Spinlock lock{LockRank::kRegistryShard};
-        std::unordered_map<Key, std::unique_ptr<GEntry>> entries;
-    };
-
-    std::vector<Shard> shards_;
-};
-
-/** The old staging-queue element: one message per key + end markers. */
-struct LegacyMsg
-{
-    Key key = 0;
-    Step step = 0;
-    GpuId src = 0;
-    bool end_marker = false;
-    std::vector<float> grad;
-};
-
-/** The new staging-queue element (mirrors the engine's UpdateBatch). */
-struct HotBatch
-{
-    Step step = 0;
-    GpuId src = 0;
-    const std::vector<Key> *keys = nullptr;
-    std::vector<float> grads;
-};
-
 // --- benchmarks --------------------------------------------------------
 
 struct Sizes
@@ -179,9 +52,6 @@ struct Sizes
     std::size_t cache_ops = 2'000'000;
     std::size_t registry_keys = 200'000;
     std::size_t registry_passes = 8;
-    Step pipeline_steps = 64;
-    std::uint32_t pipeline_gpus = 4;
-    std::size_t pipeline_keys_per_gpu = 2048;
     std::size_t kernel_rows = 1 << 15;
     std::size_t kernel_passes = 64;
 };
@@ -203,9 +73,8 @@ SkewedKeys(std::size_t n, std::size_t universe, std::size_t hot,
     return keys;
 }
 
-template <typename Cache>
 std::pair<double, double>
-RunCacheBench(Cache &cache, const Sizes &sizes)
+RunCacheBench(GpuCache &cache, const Sizes &sizes)
 {
     const std::vector<Key> keys = SkewedKeys(
         sizes.cache_ops, sizes.cache_rows * 2, sizes.cache_rows / 2, 7);
@@ -233,9 +102,8 @@ RunCacheBench(Cache &cache, const Sizes &sizes)
     return {get_rate, put_rate};
 }
 
-template <typename Registry>
 double
-RunRegistryBench(Registry &registry, const Sizes &sizes)
+RunRegistryBench(GEntryRegistry &registry, const Sizes &sizes)
 {
     std::vector<Key> keys(sizes.registry_keys);
     for (std::size_t k = 0; k < keys.size(); ++k)
@@ -255,143 +123,6 @@ RunRegistryBench(Registry &registry, const Sizes &sizes)
                         SecondsSince(start);
     if (sink == 1)
         std::printf("impossible\n");
-    return rate;
-}
-
-/** Legacy pipeline: producer pushes one message per key + an end marker
- *  per (step, GPU); consumer buffers until every marker arrived, then
- *  sorts and discards. Returns drained updates/s. */
-double
-RunLegacyPipeline(const Sizes &sizes,
-                  const std::vector<std::vector<Key>> &per_gpu_keys)
-{
-    const std::size_t total = sizes.pipeline_gpus *
-                              sizes.pipeline_keys_per_gpu *
-                              static_cast<std::size_t>(sizes.pipeline_steps);
-    BlockingQueue<LegacyMsg> staging(1 << 15);
-    const auto start = Clock::now();
-    std::thread producer([&] {
-        for (Step s = 0; s < sizes.pipeline_steps; ++s) {
-            for (std::uint32_t g = 0; g < sizes.pipeline_gpus; ++g) {
-                for (Key key : per_gpu_keys[g]) {
-                    LegacyMsg msg;
-                    msg.key = key;
-                    msg.step = s;
-                    msg.src = static_cast<GpuId>(g);
-                    msg.grad.assign(sizes.dim, 0.5f);
-                    staging.Push(std::move(msg));
-                }
-                LegacyMsg marker;
-                marker.step = s;
-                marker.src = static_cast<GpuId>(g);
-                marker.end_marker = true;
-                staging.Push(std::move(marker));
-            }
-        }
-        staging.Close();
-    });
-    std::size_t drained = 0;
-    std::vector<std::vector<LegacyMsg>> buffers(
-        static_cast<std::size_t>(sizes.pipeline_steps));
-    std::vector<std::uint32_t> markers(
-        static_cast<std::size_t>(sizes.pipeline_steps), 0);
-    while (true) {
-        auto popped = staging.PopBatchFor(
-            std::size_t{512}, std::chrono::milliseconds(50));
-        if (popped.empty()) {
-            if (staging.closed())
-                break;
-            continue;
-        }
-        for (LegacyMsg &msg : popped) {
-            if (!msg.end_marker) {
-                buffers[msg.step].push_back(std::move(msg));
-                continue;
-            }
-            if (++markers[msg.step] < sizes.pipeline_gpus)
-                continue;
-            std::sort(buffers[msg.step].begin(), buffers[msg.step].end(),
-                      [](const LegacyMsg &a, const LegacyMsg &b) {
-                          return a.key != b.key ? a.key < b.key
-                                                : a.src < b.src;
-                      });
-            drained += buffers[msg.step].size();
-            buffers[msg.step].clear();
-            buffers[msg.step].shrink_to_fit();
-        }
-    }
-    producer.join();
-    const double rate = static_cast<double>(drained) / SecondsSince(start);
-    FRUGAL_CHECK(drained == total);
-    return rate;
-}
-
-/** Batched pipeline: one batch per (step, GPU); the batch is the
- *  marker. Includes the (key, src) index sort the engine's step
- *  registration runs. */
-double
-RunBatchedPipeline(const Sizes &sizes,
-                   const std::vector<std::vector<Key>> &per_gpu_keys)
-{
-    const std::size_t total = sizes.pipeline_gpus *
-                              sizes.pipeline_keys_per_gpu *
-                              static_cast<std::size_t>(sizes.pipeline_steps);
-    BlockingQueue<HotBatch> staging(1 << 15);
-    const auto start = Clock::now();
-    std::thread producer([&] {
-        for (Step s = 0; s < sizes.pipeline_steps; ++s) {
-            for (std::uint32_t g = 0; g < sizes.pipeline_gpus; ++g) {
-                HotBatch batch;
-                batch.step = s;
-                batch.src = static_cast<GpuId>(g);
-                batch.keys = &per_gpu_keys[g];
-                batch.grads.assign(
-                    per_gpu_keys[g].size() * sizes.dim, 0.5f);
-                staging.Push(std::move(batch));
-            }
-        }
-        staging.Close();
-    });
-    struct RowRef
-    {
-        Key key;
-        GpuId src;
-    };
-    std::size_t drained = 0;
-    std::vector<std::vector<HotBatch>> step_batches(
-        static_cast<std::size_t>(sizes.pipeline_steps));
-    std::vector<RowRef> order;
-    while (true) {
-        auto popped = staging.PopBatchFor(
-            std::size_t{64}, std::chrono::milliseconds(50));
-        if (popped.empty()) {
-            if (staging.closed())
-                break;
-            continue;
-        }
-        for (HotBatch &incoming : popped) {
-            const Step s = incoming.step;
-            step_batches[s].push_back(std::move(incoming));
-            if (step_batches[s].size() < sizes.pipeline_gpus)
-                continue;
-            order.clear();
-            for (const HotBatch &batch : step_batches[s]) {
-                for (Key key : *batch.keys)
-                    order.push_back(RowRef{key, batch.src});
-            }
-            std::sort(order.begin(), order.end(),
-                      [](const RowRef &a, const RowRef &b) {
-                          return a.key != b.key ? a.key < b.key
-                                                : a.src < b.src;
-                      });
-            drained += order.size();
-            step_batches[s].clear();
-            step_batches[s].shrink_to_fit();
-        }
-    }
-    producer.join();
-    const double rate = static_cast<double>(drained) / SecondsSince(start);
-    FRUGAL_CHECK(drained == total);
     return rate;
 }
 
@@ -498,8 +229,7 @@ main(int argc, char **argv)
     }
 
     PrintBanner("Hot path (DESIGN.md §8)",
-                "flat cache / registry / batched pipeline / row kernels "
-                "vs legacy shapes");
+                "flat cache / registry / row kernels");
 
     Sizes sizes;
     if (smoke) {
@@ -507,8 +237,6 @@ main(int argc, char **argv)
         sizes.cache_ops = 100'000;
         sizes.registry_keys = 20'000;
         sizes.registry_passes = 4;
-        sizes.pipeline_steps = 8;
-        sizes.pipeline_keys_per_gpu = 512;
         sizes.kernel_rows = 1 << 12;
         sizes.kernel_passes = 8;
     }
@@ -516,80 +244,30 @@ main(int argc, char **argv)
     std::vector<Metric> metrics;
 
     // --- cache ---
-    // Pinned to the legacy single-list LRU policy: this bench compares
-    // the flat-array layout against the std::list LegacyLruCache doing
-    // identical work; policy effects (admission declines skip RowCopy)
-    // are bench_cache_policy's subject, not this one's.
+    // Pinned to the single-list LRU policy: this bench measures the
+    // flat-array layout; policy effects (admission declines skip
+    // RowCopy) are bench_cache_policy's subject, not this one's.
     GpuCacheOptions lru_only;
     lru_only.segmented = false;
     lru_only.freq_admission = false;
     GpuCache cache(sizes.cache_rows, sizes.dim, lru_only);
     const auto [get_rate, put_rate] = RunCacheBench(cache, sizes);
-    LegacyLruCache legacy_cache(sizes.cache_rows, sizes.dim);
-    const auto [legacy_get, legacy_put] =
-        RunCacheBench(legacy_cache, sizes);
     metrics.push_back(Metric{"cache_get_rate", get_rate, "ops/s"});
     metrics.push_back(Metric{"cache_put_rate", put_rate, "ops/s"});
-    metrics.push_back(
-        Metric{"legacy_cache_get_rate", legacy_get, "ops/s"});
-    metrics.push_back(
-        Metric{"legacy_cache_put_rate", legacy_put, "ops/s"});
 
     // --- registry ---
     GEntryRegistry registry(64, sizes.registry_keys);
     const double registry_rate = RunRegistryBench(registry, sizes);
-    LegacyRegistry legacy_registry(64);
-    const double legacy_registry_rate =
-        RunRegistryBench(legacy_registry, sizes);
     metrics.push_back(
         Metric{"registry_get_or_create_rate", registry_rate, "ops/s"});
-    metrics.push_back(Metric{"legacy_registry_get_or_create_rate",
-                             legacy_registry_rate, "ops/s"});
-
-    // --- update pipeline ---
-    std::vector<std::vector<Key>> per_gpu_keys(sizes.pipeline_gpus);
-    for (std::uint32_t g = 0; g < sizes.pipeline_gpus; ++g) {
-        per_gpu_keys[g].resize(sizes.pipeline_keys_per_gpu);
-        for (std::size_t k = 0; k < sizes.pipeline_keys_per_gpu; ++k) {
-            per_gpu_keys[g][k] = static_cast<Key>(
-                g * sizes.pipeline_keys_per_gpu + k);
-        }
-    }
-    const double batched_rate = RunBatchedPipeline(sizes, per_gpu_keys);
-    const double legacy_rate = RunLegacyPipeline(sizes, per_gpu_keys);
-    metrics.push_back(
-        Metric{"pipeline_drain_rate", batched_rate, "updates/s"});
-    metrics.push_back(
-        Metric{"legacy_pipeline_drain_rate", legacy_rate, "updates/s"});
 
     // --- row kernels ---
     RunKernelBench(sizes, metrics);
 
-    // --- speedups + report ---
-    metrics.push_back(Metric{"cache_get_speedup",
-                             get_rate / legacy_get, "x"});
-    metrics.push_back(Metric{"cache_put_speedup",
-                             put_rate / legacy_put, "x"});
-    metrics.push_back(Metric{"registry_speedup",
-                             registry_rate / legacy_registry_rate, "x"});
-    metrics.push_back(Metric{"pipeline_speedup",
-                             batched_rate / legacy_rate, "x"});
-
-    TablePrinter table("Hot-path throughput (new vs legacy shape)",
-                       {"Path", "New", "Legacy", "Speedup"});
-    table.AddRow({"cache get (ops/s)", FormatCount(get_rate),
-                  FormatCount(legacy_get),
-                  FormatSpeedup(get_rate / legacy_get)});
-    table.AddRow({"cache put (ops/s)", FormatCount(put_rate),
-                  FormatCount(legacy_put),
-                  FormatSpeedup(put_rate / legacy_put)});
-    table.AddRow({"registry get-or-create (ops/s)",
-                  FormatCount(registry_rate),
-                  FormatCount(legacy_registry_rate),
-                  FormatSpeedup(registry_rate / legacy_registry_rate)});
-    table.AddRow({"pipeline drain (updates/s)",
-                  FormatCount(batched_rate), FormatCount(legacy_rate),
-                  FormatSpeedup(batched_rate / legacy_rate)});
+    TablePrinter table("Hot-path throughput", {"Path", "Ops/s"});
+    table.AddRow({"cache get", FormatCount(get_rate)});
+    table.AddRow({"cache put", FormatCount(put_rate)});
+    table.AddRow({"registry get-or-create", FormatCount(registry_rate)});
     table.Print();
 
     TablePrinter kernels("Row kernels (dim 32)", {"Kernel", "GB/s"});

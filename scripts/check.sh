@@ -117,41 +117,14 @@ fi
 # --- 4b. hot-path microbenchmark smoke + baseline diff -------------------
 # Runs bench_hotpath in smoke mode (small sizes, seconds) as a build/run
 # canary, then compares the fresh metrics against the committed baseline
-# BENCH_hotpath.json. The diff is WARN-ONLY: absolute numbers vary by
-# host; the point is to notice a vanished metric or an order-of-magnitude
-# regression, not to gate on machine noise.
+# BENCH_hotpath.json (scripts/bench_diff.py, shared by 4b-4c3). The diff
+# is WARN-ONLY: absolute numbers vary by host; the point is to notice a
+# vanished metric or an order-of-magnitude regression, not to gate on
+# machine noise.
 note "bench_hotpath smoke + baseline diff (warn-only)"
 if ./build/bench/bench_hotpath --smoke --out build/BENCH_hotpath.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_hotpath.json")
-except OSError:
-    print("WARN: no committed BENCH_hotpath.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_hotpath.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_hotpath baseline diff done (warnings are non-fatal)")
-EOF
+    python3 scripts/bench_diff.py BENCH_hotpath.json \
+        build/BENCH_hotpath.json bench_hotpath || true
 else
     failures=$((failures + 1))
 fi
@@ -164,36 +137,8 @@ fi
 # The metric diff against the committed BENCH_e2e.json stays warn-only.
 note "bench_e2e_engine smoke + baseline diff (warn-only)"
 if ./build/bench/bench_e2e_engine --smoke --out build/BENCH_e2e.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_e2e.json")
-except OSError:
-    print("WARN: no committed BENCH_e2e.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_e2e.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_e2e_engine baseline diff done (warnings are non-fatal)")
-EOF
+    python3 scripts/bench_diff.py BENCH_e2e.json \
+        build/BENCH_e2e.json bench_e2e_engine || true
 else
     failures=$((failures + 1))
 fi
@@ -206,36 +151,8 @@ fi
 # stays warn-only — smoke sizes make throughput cells noisy by design.
 note "bench_prefetch smoke + baseline diff (warn-only)"
 if ./build/bench/bench_prefetch --smoke --out build/BENCH_prefetch.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_prefetch.json")
-except OSError:
-    print("WARN: no committed BENCH_prefetch.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_prefetch.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_prefetch baseline diff done (warnings are non-fatal)")
-EOF
+    python3 scripts/bench_diff.py BENCH_prefetch.json \
+        build/BENCH_prefetch.json bench_prefetch || true
 else
     failures=$((failures + 1))
 fi
@@ -251,36 +168,8 @@ fi
 note "bench_cache_policy smoke + baseline diff (warn-only)"
 if ./build/bench/bench_cache_policy --smoke \
         --out build/BENCH_cache_policy.json; then
-    python3 - <<'EOF' || true
-import json
-
-def load(path):
-    with open(path) as fh:
-        return {m["metric"]: m for m in json.load(fh)}
-
-try:
-    baseline = load("BENCH_cache_policy.json")
-except OSError:
-    print("WARN: no committed BENCH_cache_policy.json baseline")
-    raise SystemExit(0)
-fresh = load("build/BENCH_cache_policy.json")
-
-for name in sorted(set(baseline) | set(fresh)):
-    if name not in fresh:
-        print(f"WARN: metric '{name}' in baseline but not produced")
-    elif name not in baseline:
-        print(f"WARN: new metric '{name}' missing from the baseline")
-    elif baseline[name]["unit"] != fresh[name]["unit"]:
-        print(f"WARN: metric '{name}' changed unit "
-              f"{baseline[name]['unit']} -> {fresh[name]['unit']}")
-    else:
-        old, new = baseline[name]["value"], fresh[name]["value"]
-        if old > 0 and new < old / 10:
-            print(f"WARN: metric '{name}' collapsed {old:.3g} -> "
-                  f"{new:.3g} (>10x below baseline; smoke sizes, "
-                  f"but worth a look)")
-print("bench_cache_policy baseline diff done (warnings are non-fatal)")
-EOF
+    python3 scripts/bench_diff.py BENCH_cache_policy.json \
+        build/BENCH_cache_policy.json bench_cache_policy || true
 else
     failures=$((failures + 1))
 fi

@@ -69,13 +69,18 @@ LOCK_RANKS: Dict[str, int] = {
 # ---------------------------------------------------------------------------
 # Hot-path allocation-freedom list. Entries match a function's qualified
 # name (`Class::Name`) or its unqualified name when given bare; lambda
-# hot paths (flush_entry_run & friends) are matched by the variable they
+# hot paths (refresh_cache & friends) are matched by the variable they
 # are bound to.
 # ---------------------------------------------------------------------------
 
 HOT_FUNCTIONS = (
-    # FrugalEngine flush data plane (lambdas in frugal_engine.cc)
-    "flush_entry_run",
+    # The one per-entry flush (pq/pq_ops.h), run by flush threads,
+    # gate-blocked trainers and the watchdog's reclaim
+    "FlushEntry",
+    # FrugalEngine flush data plane (lambdas in frugal_engine.cc): the
+    # claim-batch routine with its batched-apply callback, and the
+    # owner-cache refresh
+    "apply_claims",
     "refresh_cache",
     # Step registration, run by the trainers after every step barrier
     # (lambda in frugal_engine.cc)

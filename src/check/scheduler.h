@@ -389,15 +389,18 @@ class Explorer
         while (workers_.size() < n) {
             const int tid = static_cast<int>(workers_.size());
             workers_.push_back(std::make_unique<Worker>());
-            workers_.back()->os_thread =
-                std::thread([this, tid] { WorkerLoop(tid); });
+            // The thread gets its Worker directly: indexing workers_
+            // from the new thread would race the next push_back, which
+            // may reallocate the vector.
+            Worker *const worker = workers_.back().get();
+            worker->os_thread = std::thread(
+                [this, tid, worker] { WorkerLoop(tid, *worker); });
         }
     }
 
     void
-    WorkerLoop(int tid)
+    WorkerLoop(int tid, Worker &self)
     {
-        Worker &self = *workers_[tid];
         for (;;) {
             self.resume.acquire();
             if (quit_)

@@ -35,9 +35,10 @@
  *    resolves the part's g-entries (GetOrCreateBatch, released), then
  *    each entry lock is held across its FlushQueue calls
  *    (RegisterUpdate) — kRegistryShard, then kGEntry → kFlushQueue.
- *  - Flush threads apply writes (embedding-table row locks) and refresh
- *    caches while holding the entry lock, so table rows and caches rank
- *    above entries. Rows and caches are leaf locks relative to each
+ *  - Every flush (FlushEntry: flush threads, gate-blocked trainers and
+ *    the watchdog's reclaim) applies writes (embedding-table row locks)
+ *    and refreshes caches while holding the entry lock, so table rows
+ *    and caches rank above entries. Rows and caches are leaf locks relative to each
  *    other (never nested), but get distinct ranks for clarity.
  *
  * Unranked locks opt out of checking entirely: they must be leaves

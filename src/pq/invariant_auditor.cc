@@ -58,8 +58,7 @@ InvariantAuditor::OnClaimBatch(const std::vector<ClaimTicket> &tickets,
                 " below the scan floor " + std::to_string(floor) +
                 " — a flushed-late entry the gate already admitted");
         }
-        if (!first && options_.expect_sorted_batches &&
-            ticket.priority < previous) {
+        if (!first && ticket.priority < previous) {
             RecordViolation("claim batch not monotone: priority " +
                             std::to_string(ticket.priority) + " after " +
                             std::to_string(previous));

@@ -8,8 +8,10 @@
  *  - RegisterUpdate: a trainer registers ⟨key, s, Δ⟩ after step s's
  *    barrier ⇒ remove s from the R set, append to the W set, enqueue or
  *    re-prioritise.
- *  - TakeClaimedWrites: a flush thread owns a claimed entry ⇒ detach its
- *    W set (ordered deterministically) for application to host memory.
+ *  - FlushEntry: a flush thread owns a claimed entry ⇒ detach its W set
+ *    in canonical (step, src) order and apply it to host memory
+ *    (FlushClaimed wraps it for per-record appliers; TakeClaimedWrites
+ *    only detaches the sorted W set, for callers that apply elsewhere).
  *
  * Each helper takes the entry lock internally; the FlushQueue methods it
  * calls are specified to run under that lock.
@@ -65,63 +67,88 @@ RegisterUpdate(FlushQueue &queue, GEntry &entry, WriteRecord record)
 }
 
 /**
- * Full flush of one claimed entry: detaches its pending writes, applies
- * them through `apply` (called once per record, in canonical order), then
- * reports completion to the queue so the gate can open. This is the body
- * of a flush thread's per-entry work (§3.3 "flush the parameter updates
- * recorded in its W set to host memory").
- *
- * @return the number of records applied.
+ * The canonical per-parameter application order, (step, src): every
+ * consumer applies a given parameter's updates in this one order, which
+ * keeps stateful optimizers deterministic and lets tests compare against
+ * an oracle bit-for-bit.
  */
+inline void
+SortCanonical(std::vector<WriteRecord> &writes)
+{
+    std::sort(writes.begin(), writes.end(),
+              [](const WriteRecord &a, const WriteRecord &b) {
+                  return a.step != b.step ? a.step < b.step : a.src < b.src;
+              });
+}
+
 /**
- * As the two-argument overload below, with a `post(key)` hook invoked
- * once after all records were applied but before the queue learns of
- * completion — still under the entry lock. Frugal's flush threads use it
- * to copy the committed host row into the owner GPU's cache ("H2D"),
- * which must complete before the gate may open.
+ * Flushes one claimed entry — the body of every flush, whoever runs it
+ * (§3.3 "flush the parameter updates recorded in its W set to host
+ * memory"). Under a single entry-lock hold it detaches the W set, sorts
+ * it canonically, hands it to `apply(key, writes)`, runs `post(key)`,
+ * then retires any standing enqueue. Both callbacks run only when there
+ * was something to apply. Frugal's post hook copies the committed host
+ * row into the owner GPU's cache ("H2D"), which must complete before the
+ * gate may open.
  *
  * Taking and applying the writes in one critical section also pins the
  * per-key application order to lock-acquisition order: if a second flush
  * thread claims the entry's newer writes concurrently, it can only apply
  * them after this one releases the lock, so a row's update sequence is
  * always the canonical (step, src) order.
+ *
+ * A read or a write may have re-enqueued the entry after it was claimed.
+ * Its newer writes are applied here as well, so the standing enqueue must
+ * be retired — otherwise it would survive as a zombie whose logical count
+ * never drains (the queue would never look empty again). It is retired
+ * only after the apply and the post hook: its count is what keeps the
+ * gate closed for the step that re-enqueued it, while the claim's
+ * in-flight count may sit at a later priority (or ∞).
+ *
+ * The claims themselves are not retired here: the caller reports each of
+ * its tickets on the entry to FlushQueue::OnFlushed afterwards.
+ *
+ * @return the number of records applied.
+ */
+template <typename ApplyFn, typename PostFn>
+std::size_t
+FlushEntry(FlushQueue &queue, GEntry &entry, ApplyFn &&apply, PostFn &&post)
+{
+    SpinGuard guard(entry.lock());
+    const bool standing = entry.enqueuedLocked();
+    const Priority standing_priority = entry.priorityLocked();
+    std::vector<WriteRecord> writes = entry.TakeWritesLocked();
+    SortCanonical(writes);
+    if (!writes.empty()) {
+        apply(entry.key(), writes);
+        post(entry.key());
+    }
+    if (standing) {
+        entry.setEnqueuedLocked(false);
+        queue.Unenqueue(&entry, standing_priority);
+    }
+    return writes.size();
+}
+
+/**
+ * Flushes the entry of one claim through FlushEntry, calling
+ * `apply(key, record)` once per record and `post(key)` after the last,
+ * then retires the claim.
+ *
+ * @return the number of records applied.
  */
 template <typename ApplyFn, typename PostFn>
 std::size_t
 FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply,
              PostFn &&post)
 {
-    GEntry &entry = *ticket.entry;
-    std::size_t applied = 0;
-    {
-        SpinGuard guard(entry.lock());
-        // A read or a write may have re-enqueued the entry between our
-        // claim and this point. We are about to apply its newer writes
-        // as well, so the standing enqueue must be retired — otherwise
-        // it would survive as a zombie whose logical count never drains
-        // (the queue would never look empty again). Retire it only after
-        // the writes are applied: its count is what keeps the gate
-        // closed for the step that re-enqueued it, while our claim's
-        // in-flight count may sit at a later priority (or ∞).
-        const bool standing = entry.enqueuedLocked();
-        const Priority standing_priority = entry.priorityLocked();
-        std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-        std::sort(writes.begin(), writes.end(),
-                  [](const WriteRecord &a, const WriteRecord &b) {
-                      return a.step != b.step ? a.step < b.step
-                                              : a.src < b.src;
-                  });
-        for (const WriteRecord &record : writes) {
-            apply(entry.key(), record);
-            ++applied;
-        }
-        if (applied > 0)
-            post(entry.key());
-        if (standing) {
-            entry.setEnqueuedLocked(false);
-            queue.Unenqueue(&entry, standing_priority);
-        }
-    }
+    const std::size_t applied = FlushEntry(
+        queue, *ticket.entry,
+        [&apply](Key key, const std::vector<WriteRecord> &writes) {
+            for (const WriteRecord &record : writes)
+                apply(key, record);
+        },
+        post);
     queue.OnFlushed(ticket);
     return applied;
 }
@@ -136,21 +163,15 @@ FlushClaimed(FlushQueue &queue, const ClaimTicket &ticket, ApplyFn &&apply)
 }
 
 /**
- * Flush-side transition: detaches the claimed entry's pending writes,
- * sorted by (step, src) so every consumer applies a given parameter's
- * updates in one canonical order (keeps stateful optimizers
- * deterministic and lets tests compare against an oracle bit-for-bit).
+ * Flush-side transition: detaches the claimed entry's pending writes in
+ * canonical order (SortCanonical) for the caller to apply.
  */
 inline std::vector<WriteRecord>
 TakeClaimedWrites(GEntry &entry)
 {
     SpinGuard guard(entry.lock());
     std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-    std::sort(writes.begin(), writes.end(),
-              [](const WriteRecord &a, const WriteRecord &b) {
-                  return a.step != b.step ? a.step < b.step
-                                          : a.src < b.src;
-              });
+    SortCanonical(writes);
     return writes;
 }
 

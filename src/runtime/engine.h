@@ -81,29 +81,11 @@ struct EngineConfig
     /** Entries claimed per dequeue (batched dequeue, §3.4). */
     std::size_t flush_batch = 8;
 
-    /** Dequeue shards per PQ bucket (FrugalEngine + TwoLevelPQ only):
+    /** Dequeue shards per PQ bucket (FrugalEngine only):
      *  each flush thread drains its own shard first, so concurrent
      *  dequeues scan disjoint slot sets. 0 = one shard per flush
-     *  thread; 1 = the unsharded legacy layout. */
+     *  thread; 1 = unsharded. */
     std::size_t pq_shards = 0;
-
-    /**
-     * Apply claimed flushes through the coalesced batch path: sort each
-     * claim batch by key and commit every claimed entry's W set with
-     * one entry-lock hold, one row-lock acquisition and one owner-cache
-     * refresh per entry run (FrugalEngine only). Also enables
-     * *cooperative flushing*: a gate-blocked trainer claims the entries
-     * blocking its own gate (DequeueClaimBelow, priority <= its step)
-     * and applies them inline instead of paying a flusher wakeup round
-     * trip per step, while idle flush threads nap off the gate CV and
-     * sweep later-step/deferred backlog. `false` restores the per-ticket
-     * legacy shape (one FlushClaimed per ticket, per-record row locking,
-     * flusher-only application, yield-spin backoff) — kept selectable so
-     * bench_e2e_engine can measure the overhaul against the exact
-     * pre-overhaul control plane. Either shape trains bit-identically;
-     * DESIGN.md §9 has the argument.
-     */
-    bool coalesced_flush = true;
 
     /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
@@ -132,13 +114,6 @@ struct EngineConfig
      *  are counted in the report (tests assert zero). */
     bool audit_consistency = false;
 
-    /** Use the TreeHeap baseline PQ instead of the two-level PQ
-     *  (FrugalEngine only; Exp #4). */
-    bool use_tree_heap = false;
-
-    /** Disable scan-range compression (ablation; FrugalEngine only). */
-    bool disable_scan_compression = false;
-
     /**
      * UNSAFE ablation: skip the P²F gate's PQ check, turning training
      * asynchronous — reads may observe parameters with unflushed
@@ -147,8 +122,9 @@ struct EngineConfig
      */
     bool disable_gate_unsafe = false;
 
-    /** Fault injection: artificial delay added per flushed g-entry
-     *  (simulates a slow host-memory path / overloaded flusher). */
+    /** Fault injection: artificial delay added per applied claim
+     *  ticket, whoever applies it (simulates a slow host-memory path /
+     *  overloaded flusher). */
     int flush_delay_us = 0;
 
     /**
@@ -221,8 +197,7 @@ struct RunReport
 
     /** Flush lag: registration-to-commit latency of applied update runs
      *  (seconds; 1-in-16 sampled), merged across flush threads and
-     *  cooperative-flush trainer applies. Populated by FrugalEngine's
-     *  coalesced flush path. */
+     *  cooperative-flush trainer applies. Populated by FrugalEngine. */
     Histogram flush_lag;
 
     /** Merged cache counters across GPUs. */

@@ -22,7 +22,6 @@
 #include "pq/g_entry_registry.h"
 #include "pq/invariant_auditor.h"
 #include "pq/pq_ops.h"
-#include "pq/tree_heap_pq.h"
 #include "pq/two_level_pq.h"
 #include "runtime/watchdog.h"
 #include "table/checkpoint.h"
@@ -75,6 +74,25 @@ struct TrainerLocalStats
 };
 
 /**
+ * Flush-lag samples of one applying thread (registration-to-commit
+ * seconds). One applied run in 16 is sampled: a steady_clock read plus a
+ * log-bucket histogram insert per run is measurable against these
+ * micro-second apply times.
+ */
+struct LagSampler
+{
+    Histogram hist{};
+    std::size_t tick = 0;
+
+    /** The histogram to record this run's lag in, or nullptr. */
+    Histogram *
+    Next()
+    {
+        return (tick++ & 0xf) == 0 ? &hist : nullptr;
+    }
+};
+
+/**
  * One flush thread's crash-recovery slot. The *claim ledger* mirrors
  * the tickets the thread has dequeued but not yet flushed: claims are
  * invisible to the queue (that is the point of claiming), so without
@@ -94,14 +112,27 @@ struct FlusherSlot
     const std::size_t index;
     Spinlock lock{LockRank::kRecoverySlot};
     std::vector<ClaimTicket> claimed FRUGAL_GUARDED_BY(lock);
+
+    /** Drops one applied ticket from the ledger. */
+    void
+    ForgetLocked(const ClaimTicket &ticket) FRUGAL_REQUIRES(lock)
+    {
+        for (auto it = claimed.begin(); it != claimed.end(); ++it) {
+            if (it->entry == ticket.entry &&
+                it->priority == ticket.priority) {
+                claimed.erase(it);
+                return;
+            }
+        }
+    }
     /** Set by the thread itself on injected death (definitive). */
     std::atomic<bool> dead{false};
     /** True while a dequeued batch is being processed. */
     std::atomic<bool> busy{false};
-    /** Flush lag (registration→commit seconds) of runs this slot applied.
+    /** Flush lag of runs this slot applied.
      *  tsa-exempt: written only by the slot's own thread; the engine
      *  merges it after joining every flusher. */
-    Histogram lag;
+    LagSampler lag;
     // tsa-exempt: set before the thread starts, joined by the engine's
     // wind-down; never touched under `lock`.
     std::thread thread;
@@ -143,21 +174,12 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     }
 
     // --- run-scoped shared state -------------------------------------
-    std::unique_ptr<FlushQueue> queue;
-    if (config_.use_tree_heap) {
-        queue = std::make_unique<TreeHeapPQ>();
-    } else {
-        TwoLevelPQConfig pq_config;
-        pq_config.max_step = n_steps;  // priorities are read steps < S
-        pq_config.n_shards =
-            config_.pq_shards != 0
-                ? config_.pq_shards
-                : std::max<std::size_t>(1, config_.flush_threads);
-        auto two_level = std::make_unique<TwoLevelPQ>(pq_config);
-        if (config_.disable_scan_compression)
-            two_level->setScanCompression(false);
-        queue = std::move(two_level);
-    }
+    TwoLevelPQConfig pq_config;
+    pq_config.max_step = n_steps;  // priorities are read steps < S
+    pq_config.n_shards = config_.pq_shards != 0
+                             ? config_.pq_shards
+                             : std::max<std::size_t>(1, config_.flush_threads);
+    TwoLevelPQ queue(pq_config);
 
     GEntryRegistry registry(64, config_.key_space);
     if (injector != nullptr) {
@@ -329,7 +351,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             // alloc-ok: the W record owns a copy of its gradient row (the
             // slot is refilled next step) and the W set grows by one
             // record; both are freed or reused when the entry flushes.
-            RegisterUpdate(*queue, *entries[run],
+            RegisterUpdate(queue, *entries[run],
                            WriteRecord{s, ref.src,
                                        std::vector<float>(grad, grad + dim),
                                        staged_at});
@@ -379,9 +401,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     // Disarmed for the async ablation: disable_gate_unsafe *exists* to
     // break the invariant, and its violations are reported through
     // report.audit_violations instead of a shutdown panic.
-    InvariantAuditor::Options auditor_options;
-    auditor_options.expect_sorted_batches = !config_.use_tree_heap;
-    InvariantAuditor auditor(auditor_options);
+    InvariantAuditor auditor;
     const bool auditor_armed = !config_.disable_gate_unsafe;
 #endif
 
@@ -398,7 +418,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 step_hook(s);
 #if FRUGAL_DCHECK_ENABLED
             if (auditor_armed)
-                auditor.OnStepBoundary(s, *queue);
+                auditor.OnStepBoundary(s, queue);
 #endif
             // --- consistent checkpoint barrier --------------------
             // All trainers are parked in the barrier, so no new updates
@@ -416,7 +436,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                 auto quiescent = [&] {
                     return drained_steps.load(std::memory_order_acquire) >=
                                s + 1 &&
-                           queue->SizeApprox() == 0 &&
+                           queue.SizeApprox() == 0 &&
                            // relaxed: trainers are parked in this
                            // barrier, so emitted is frozen; only
                            // applied needs to synchronize.
@@ -669,7 +689,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     resolved.resize(keys.size());
                     registry.GetOrCreateBatch(keys, resolved.data());
                     for (GEntry *entry : resolved)
-                        RegisterRead(*queue, *entry, frontier);
+                        RegisterRead(queue, *entry, frontier);
                 }
                 const Step target = frontier;
                 ++frontier;
@@ -724,13 +744,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                              << " attempts; giving up (permanent "
                                 "failure, not transient)");
     };
-    auto apply_update = [&](Key key, const WriteRecord &record) {
-        await_host_write(key);
-        table_->ApplyGradient(key, record.grad.data(), *optimizer_);
-        // updates_applied is bumped once per ticket by the caller (with
-        // the count FlushClaimed returns), not per record here: one
-        // release fetch_add per entry instead of one per update.
-    };
     auto refresh_cache = [&](Key key) {
         // "H2D": copy the committed row into the owner's cache. Also
         // runs on the watchdog thread when reclaiming abandoned claims,
@@ -765,121 +778,157 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         }
         caches[owner]->UpdateIfPresent(key, row.data());
     };
-    /**
-     * Coalesced counterpart of FlushClaimed (pq_ops.h): commits one
-     * claimed entry's whole W set with a single row-lock acquisition
-     * (ApplyGradients) instead of one per record, still inside one
-     * entry-lock critical section so the per-key application order stays
-     * the canonical (step, src) order — the take and the applies cannot
-     * interleave with a concurrent claim of the same entry's newer
-     * writes. Per-record optimizer applications are unchanged, so the
-     * result is bit-identical to the per-ticket path. The caller invokes
-     * OnFlushed per ticket afterwards (not here: a key run may cover
-     * several tickets for the same entry, each retiring its own claim).
-     * @return the number of records applied.
-     */
-    auto flush_entry_run = [&](GEntry &entry,
-                               Histogram *lag_hist) -> std::size_t {
-        SpinGuard guard(entry.lock());
-        // Same zombie-retire rule as FlushClaimed: we consume any newer
-        // writes below, so a standing enqueue must go — but only after
-        // they are applied and the cache refreshed, since its count is
-        // what keeps the gate closed for the step that re-enqueued it.
-        const bool standing = entry.enqueuedLocked();
-        const Priority standing_priority = entry.priorityLocked();
-        auto retire_standing = [&] {
-            if (!standing)
-                return;
-            entry.setEnqueuedLocked(false);
-            queue->Unenqueue(&entry, standing_priority);
-        };
-        std::vector<WriteRecord> writes = entry.TakeWritesLocked();
-        if (writes.empty()) {
-            retire_standing();
-            return 0;
-        }
-        std::sort(writes.begin(), writes.end(),
-                  [](const WriteRecord &a, const WriteRecord &b) {
-                      return a.step != b.step ? a.step < b.step
-                                              : a.src < b.src;
-                  });
-        const Key key = entry.key();
-        // Same per-record transient-fault sequence as the per-ticket
-        // path; only the row writes themselves are batched after it.
-        // spin-block-ok: deliberate — the retry backoff sleeps under
-        // the g-entry lock so a write storm delays only this key (see
-        // await_host_write); contention on one entry's lock is rare.
-        for (std::size_t r = 0; r < writes.size(); ++r)
-            // spin-block-ok: see rationale above the loop.
-            await_host_write(key);
-        thread_local std::vector<const float *> grad_ptrs;
-        grad_ptrs.clear();
-        for (const WriteRecord &record : writes)
-            // alloc-ok: thread_local scratch; capacity amortizes across
-            // entry runs (clear() keeps it), so growth is one-time.
-            grad_ptrs.push_back(record.grad.data());
-        table_->ApplyGradients(key, grad_ptrs.data(), writes.size(),
-                               *optimizer_);
-        refresh_cache(key);
-        retire_standing();
-        if (lag_hist != nullptr) {
-            lag_hist->Add(Seconds(writes.front().staged,
-                                  std::chrono::steady_clock::now()));
-        }
-        return writes.size();
-    };
 
     std::vector<std::unique_ptr<FlusherSlot>> flusher_slots;
     for (std::size_t f = 0; f < config_.flush_threads; ++f)
         flusher_slots.push_back(std::make_unique<FlusherSlot>(f));
 
+    /**
+     * Injected death of the flush thread owning `slot`, checked before
+     * each run of its claim batch: the thread vanishes with the
+     * unflushed tail still in its ledger. The gate stays blocked
+     * (in-flight counts unretired) until the watchdog reclaims them.
+     */
+    auto flusher_dies = [&](FlusherSlot &slot) -> bool {
+        if (!FaultPoint(injector, FaultSite::kFlushThreadDeath, slot.index)
+                 .has_value()) {
+            return false;
+        }
+        std::size_t orphaned = 0;
+        {
+            SpinGuard guard(slot.lock);
+            orphaned = slot.claimed.size();
+        }
+        FRUGAL_WARN("fault injection: flush thread "
+                    << slot.index << " dies holding " << orphaned
+                    << " claim(s)");
+        // relaxed: monotonic stat counter, read after joins.
+        flusher_deaths.fetch_add(1, std::memory_order_relaxed);
+        slot.dead.store(true, std::memory_order_release);
+        slot.busy.store(false, std::memory_order_release);
+        nudge_gate();
+        return true;
+    };
+
+    /**
+     * Applies one claim batch. This is the only flush routine: the flush
+     * threads, a gate-blocked trainer (cooperative flushing) and the
+     * watchdog's reclaim of a dead flush thread's claims all call it.
+     *
+     * The batch is sorted by key, after the auditor saw it in dequeue
+     * (priority) order, so tickets for the same entry form one contiguous
+     * run. Each run is flushed once through FlushEntry (pq_ops.h): one
+     * entry-lock hold, one batched ApplyGradients row-lock hold and one
+     * owner-cache refresh. Then every ticket of the run is retired and the
+     * applied count published. A second ticket for the same entry finds
+     * the W set already taken and only retires its claim. The optimizer
+     * applications are the per-record ones, in canonical order, so the
+     * trained table is bit-identical whoever applies.
+     *
+     * `owner` is the applying flush thread's slot, or nullptr for a
+     * trainer or the watchdog: its injected death may abandon the batch
+     * before any run, and each applied run leaves its claim ledger.
+     * `lag` (nullable) samples the flush lag.
+     * @return false iff the owner died mid-batch.
+     */
+    auto apply_claims = [&](std::vector<ClaimTicket> &batch,
+                            FlusherSlot *owner, LagSampler *lag) -> bool {
+        std::sort(batch.begin(), batch.end(),
+                  [](const ClaimTicket &a, const ClaimTicket &b) {
+                      return a.entry->key() < b.entry->key();
+                  });
+        std::size_t i = 0;
+        while (i < batch.size()) {
+            std::size_t j = i + 1;
+            while (j < batch.size() && batch[j].entry == batch[i].entry)
+                ++j;
+            if (owner != nullptr && flusher_dies(*owner))
+                return false;
+            if (config_.flush_delay_us > 0) {
+                // Fault injection: a slow host-memory path, per ticket.
+                // retry-exempt: injected delay.
+                std::this_thread::sleep_for(std::chrono::microseconds(
+                    config_.flush_delay_us * static_cast<long>(j - i)));
+            }
+            Histogram *const lag_hist =
+                lag != nullptr ? lag->Next() : nullptr;
+            const std::size_t applied = FlushEntry(
+                queue, *batch[i].entry,
+                [&](Key key, const std::vector<WriteRecord> &writes) {
+                    // The per-record transient-fault sequence runs first;
+                    // only the row writes themselves are batched after
+                    // it.
+                    // spin-block-ok: deliberate — the retry backoff
+                    // sleeps under the g-entry lock so a write storm
+                    // delays only this key (see await_host_write);
+                    // contention on one entry's lock is rare.
+                    for (std::size_t r = 0; r < writes.size(); ++r)
+                        // spin-block-ok: see rationale above the loop.
+                        await_host_write(key);
+                    thread_local std::vector<const float *> grad_ptrs;
+                    grad_ptrs.clear();
+                    for (const WriteRecord &record : writes)
+                        // alloc-ok: thread_local scratch; capacity
+                        // amortizes across entry runs (clear() keeps
+                        // it), so growth is one-time.
+                        grad_ptrs.push_back(record.grad.data());
+                    table_->ApplyGradients(key, grad_ptrs.data(),
+                                           writes.size(), *optimizer_);
+                    if (lag_hist != nullptr) {
+                        lag_hist->Add(
+                            Seconds(writes.front().staged,
+                                    std::chrono::steady_clock::now()));
+                    }
+                },
+                refresh_cache);
+            for (std::size_t k = i; k < j; ++k)
+                queue.OnFlushed(batch[k]);
+            if (applied > 0) {
+                // release: pairs with the checkpoint barrier's acquire
+                // load. A reader observing applied == emitted must also
+                // observe every row/optimizer write committed before the
+                // increment.
+                updates_applied.fetch_add(applied,
+                                          std::memory_order_release);
+            }
+            if (owner != nullptr) {
+                SpinGuard guard(owner->lock);
+                for (std::size_t k = i; k < j; ++k)
+                    owner->ForgetLocked(batch[k]);
+            }
+            i = j;
+        }
+        return true;
+    };
+
     // The flusher body is a named function so the watchdog can respawn
     // a dead slot with the identical loop.
     std::function<void(FlusherSlot *)> flusher_body =
         [&](FlusherSlot *slot) {
-            // Consecutive zero-claim passes before the coalesced shape
-            // stops yielding and parks on the gate CV between rescans.
+            // Consecutive zero-claim passes before the backoff stops
+            // yielding and naps between rescans.
             constexpr std::size_t kParkAfterEmptyClaims = 2;
             std::size_t empty_claims = 0;
-            // Coalesced-shape idle nap; doubles (capped) while the
-            // queue stays dry, resets on a successful claim.
+            // Idle nap; doubles (capped) while the queue stays dry,
+            // resets on a successful claim.
             std::chrono::microseconds idle_sleep{500};
-            // Flush-lag is sampled (1 in 16 runs): a steady_clock read
-            // plus a log-bucket histogram insert per applied run is
-            // measurable against these micro-second apply times.
-            std::size_t lag_tick = 0;
             std::vector<ClaimTicket> claimed;
             while (true) {
-                if (queue->SizeApprox() == 0) {
+                if (queue.SizeApprox() == 0) {
                     if (drain_done.load(std::memory_order_acquire))
                         return;
-                    if (config_.coalesced_flush) {
-                        // Idle, coalesced shape: flat self-wake, off
-                        // the gate CV. A step registration's nudge_gate
-                        // is a notify_all; four flushers parked on it
-                        // turn every step into a thundering herd
-                        // whose losers wake, rescan and re-park. The
-                        // gate-blocked trainer now claims its own
-                        // blockers (cooperative flush), so an idle
-                        // flusher only needs to wake often enough to
-                        // absorb later-step and deferred backlog.
-                        // retry-exempt: idle self-wake, not a retry.
-                        std::this_thread::sleep_for(idle_sleep);
-                        idle_sleep =
-                            std::min(idle_sleep * 2,
-                                     std::chrono::microseconds(4000));
-                    } else {
-                        // Idle: block until a step registration
-                        // publishes new work (or the run winds down)
-                        // instead of burning the timeslice.
-                        std::unique_lock<std::mutex> lock(gate_mutex);
-                        gate_cv.wait_for(
-                            lock, std::chrono::microseconds(500), [&] {
-                                return queue->SizeApprox() > 0 ||
-                                       drain_done.load(
-                                           std::memory_order_acquire);
-                            });
-                    }
+                    // Idle: flat self-wake, off the gate CV. A step
+                    // registration's nudge_gate is a notify_all; four
+                    // flushers parked on it would turn every step into a
+                    // thundering herd whose losers wake, rescan and
+                    // re-park. The gate-blocked trainer claims its own
+                    // blockers (cooperative flush), so an idle flusher
+                    // only needs to wake often enough to absorb
+                    // later-step and deferred backlog.
+                    // retry-exempt: idle self-wake, not a retry.
+                    std::this_thread::sleep_for(idle_sleep);
+                    idle_sleep = std::min(idle_sleep * 2,
+                                          std::chrono::microseconds(4000));
                     continue;
                 }
                 // The scan floor relies on the gate's invariant that
@@ -890,43 +939,35 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     config_.disable_gate_unsafe
                         ? 0
                         : current_step.load(std::memory_order_acquire);
-                queue->SetScanBounds(
+                queue.SetScanBounds(
                     scan_floor,
                     prefetch_frontier.load(std::memory_order_acquire));
                 claimed.clear();
                 slot->busy.store(true, std::memory_order_release);
-                if (queue->DequeueClaim(claimed,
-                                        // relaxed: degradation knob
-                                        // (coalescing width).
-                                        effective_flush_batch.load(
-                                            std::memory_order_relaxed),
-                                        slot->index) == 0) {
+                if (queue.DequeueClaim(claimed,
+                                       // relaxed: degradation knob
+                                       // (coalescing width).
+                                       effective_flush_batch.load(
+                                           std::memory_order_relaxed),
+                                       slot->index) == 0) {
                     // Entries exist but are momentarily unclaimable
                     // (mid-publish or taken by a peer); back off briefly.
                     slot->busy.store(false, std::memory_order_release);
-                    if (config_.coalesced_flush) {
-                        // Two-stage backoff: yield while the pipeline
-                        // is merely between batches, then a flat sleep
-                        // after a streak of empty claims. Everything
-                        // visible is in flight on a peer — or on a
-                        // gate-blocked trainer, which self-claims in
-                        // the cooperative-flush path and must not have
-                        // to outrace a CV-parked flusher for the work
-                        // it is waiting on — so rescanning in-flight
-                        // entries only burns timeslices the applying
-                        // threads need. The legacy shape keeps the
-                        // bare yield so bench_e2e_engine measures the
-                        // pre-overhaul loop faithfully.
-                        if (++empty_claims < kParkAfterEmptyClaims) {
-                            std::this_thread::yield();
-                        } else {
-                            // retry-exempt: contention backoff while
-                            // peers hold the claims, not a retry.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(200));
-                        }
-                    } else {
+                    // Two-stage backoff: yield while the pipeline is
+                    // merely between batches, then a flat sleep after a
+                    // streak of empty claims. Everything visible is in
+                    // flight on a peer — or on a gate-blocked trainer,
+                    // which self-claims in the cooperative-flush path and
+                    // must not have to outrace a flusher for the work it
+                    // is waiting on — so rescanning in-flight entries
+                    // only burns timeslices the applying threads need.
+                    if (++empty_claims < kParkAfterEmptyClaims) {
                         std::this_thread::yield();
+                    } else {
+                        // retry-exempt: contention backoff while peers
+                        // hold the claims, not a retry.
+                        std::this_thread::sleep_for(
+                            std::chrono::microseconds(200));
                     }
                     continue;
                 }
@@ -949,124 +990,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     slot->claimed.insert(slot->claimed.end(),
                                          claimed.begin(), claimed.end());
                 }
-                auto injected_death = [&]() -> bool {
-                    if (!FaultPoint(injector,
-                                    FaultSite::kFlushThreadDeath,
-                                    slot->index)
-                             .has_value()) {
-                        return false;
-                    }
-                    // Injected death mid-claim: vanish with the
-                    // unflushed tail still in the ledger. The gate
-                    // stays blocked (in-flight counts unretired)
-                    // until the watchdog reclaims them.
-                    std::size_t orphaned = 0;
-                    {
-                        SpinGuard guard(slot->lock);
-                        orphaned = slot->claimed.size();
-                    }
-                    FRUGAL_WARN("fault injection: flush thread "
-                                << slot->index << " dies holding "
-                                << orphaned << " claim(s)");
-                    // relaxed: monotonic stat counter, read after
-                    // joins.
-                    flusher_deaths.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    slot->dead.store(true, std::memory_order_release);
-                    slot->busy.store(false, std::memory_order_release);
-                    nudge_gate();
-                    return true;
-                };
-                auto erase_from_ledger = [&](const ClaimTicket &ticket) {
-                    for (auto it = slot->claimed.begin();
-                         it != slot->claimed.end(); ++it) {
-                        if (it->entry == ticket.entry &&
-                            it->priority == ticket.priority) {
-                            slot->claimed.erase(it);
-                            return;
-                        }
-                    }
-                };
-                if (config_.coalesced_flush) {
-                    // Coalesced application: group the batch by key so
-                    // tickets for the same entry form one contiguous
-                    // run, then commit each run with one entry-lock
-                    // hold, one row-lock acquisition and one owner
-                    // cache refresh. Sorting happens *after* the
-                    // auditor saw the batch in dequeue (priority)
-                    // order.
-                    std::sort(claimed.begin(), claimed.end(),
-                              [](const ClaimTicket &a,
-                                 const ClaimTicket &b) {
-                                  return a.entry->key() < b.entry->key();
-                              });
-                    std::size_t i = 0;
-                    while (i < claimed.size()) {
-                        std::size_t j = i + 1;
-                        while (j < claimed.size() &&
-                               claimed[j].entry == claimed[i].entry)
-                            ++j;
-                        if (injected_death())
-                            return;
-                        if (config_.flush_delay_us > 0) {
-                            // Fault injection: a slow host-memory path
-                            // (per ticket, as in the per-ticket shape).
-                            // retry-exempt: injected delay.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(
-                                    config_.flush_delay_us *
-                                    static_cast<long>(j - i)));
-                        }
-                        // A second ticket for the same entry finds the
-                        // W set already taken (applied == 0) and just
-                        // retires its claim — same as the per-ticket
-                        // path's zombie handling.
-                        const std::size_t applied = flush_entry_run(
-                            *claimed[i].entry,
-                            (lag_tick++ & 0xf) == 0 ? &slot->lag
-                                                    : nullptr);
-                        for (std::size_t k = i; k < j; ++k)
-                            queue->OnFlushed(claimed[k]);
-                        if (applied > 0) {
-                            // release: pairs with the checkpoint
-                            // barrier's acquire load. A reader
-                            // observing applied == emitted must also
-                            // observe every row/optimizer write
-                            // committed before the increment.
-                            updates_applied.fetch_add(
-                                applied, std::memory_order_release);
-                        }
-                        {
-                            SpinGuard guard(slot->lock);
-                            for (std::size_t k = i; k < j; ++k)
-                                erase_from_ledger(claimed[k]);
-                        }
-                        i = j;
-                    }
-                } else {
-                    for (const ClaimTicket &ticket : claimed) {
-                        if (injected_death())
-                            return;
-                        if (config_.flush_delay_us > 0) {
-                            // Fault injection: a slow host-memory path.
-                            // retry-exempt: injected delay.
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(
-                                    config_.flush_delay_us));
-                        }
-                        const std::size_t applied = FlushClaimed(
-                            *queue, ticket, apply_update, refresh_cache);
-                        if (applied > 0) {
-                            // release: see the coalesced counterpart.
-                            updates_applied.fetch_add(
-                                applied, std::memory_order_release);
-                        }
-                        {
-                            SpinGuard guard(slot->lock);
-                            erase_from_ledger(ticket);
-                        }
-                    }
-                }
+                if (!apply_claims(claimed, slot, &slot->lag))
+                    return;
                 slot->busy.store(false, std::memory_order_release);
                 nudge_gate();
             }
@@ -1103,7 +1028,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             // relaxed: diagnostic snapshot (see above).
             snap.staging_size =
                 pending_batches.load(std::memory_order_relaxed);
-            snap.pq_size = queue->SizeApprox();
+            snap.pq_size = queue.SizeApprox();
             for (const auto &slot : flusher_slots) {
                 if (slot->dead.load(std::memory_order_acquire)) {
                     ++snap.dead_flushers;
@@ -1139,25 +1064,18 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                     SpinGuard guard(slot->lock);
                     abandoned.swap(slot->claimed);
                 }
-                // Reclaim each abandoned ticket: apply its entry's
-                // pending writes and retire the in-flight count. If a
-                // live flusher already took the writes through the
-                // zombie re-enqueue path, the W set is empty and the
-                // call just retires the claim — both outcomes keep the
-                // per-key canonical order, because W records only ever
-                // leave an entry through a sorted take.
-                for (const ClaimTicket &ticket : abandoned) {
-                    const std::size_t applied = FlushClaimed(
-                        *queue, ticket, apply_update, refresh_cache);
-                    if (applied > 0) {
-                        // release: see the flusher-loop counterpart.
-                        updates_applied.fetch_add(
-                            applied, std::memory_order_release);
-                    }
-                    // relaxed: monotonic stat counter, reporting only.
-                    claims_reclaimed.fetch_add(1,
-                                               std::memory_order_relaxed);
-                }
+                // Reclaim the abandoned tickets through the flushers'
+                // own batch routine: apply their entries' pending writes
+                // and retire the in-flight counts. If a live flusher
+                // already took the writes through the zombie re-enqueue
+                // path, the W set is empty and the run just retires the
+                // claim — both outcomes keep the per-key canonical order,
+                // because W records only ever leave an entry through a
+                // sorted take.
+                apply_claims(abandoned, nullptr, nullptr);
+                // relaxed: monotonic stat counter, reporting only.
+                claims_reclaimed.fetch_add(abandoned.size(),
+                                           std::memory_order_relaxed);
                 slot->dead.store(false, std::memory_order_release);
                 slot->thread = std::thread(flusher_body, slot.get());
                 // relaxed: monotonic stat counter, reporting only.
@@ -1173,7 +1091,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         };
         auto diagnose = [&]() -> std::string {
             std::ostringstream out;
-            out << queue->DebugDump();
+            out << queue.DebugDump();
             // relaxed: diagnostic read; skew against the round is fine.
             out << pending_batches.load(std::memory_order_relaxed)
                 << " batch(es) emitted but unregistered, registration "
@@ -1328,7 +1246,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     std::vector<CacheAligned<TrainerLocalStats>> local_stats(n_gpus);
     // Per-trainer flush-lag histograms: cooperative-flush applies land
     // here (flusher slots hold their own); merged after the joins.
-    std::vector<CacheAligned<Histogram>> trainer_lag(n_gpus);
+    std::vector<CacheAligned<LagSampler>> trainer_lag(n_gpus);
     for (std::uint32_t g = 0; g < n_gpus; ++g) {
         trainers.emplace_back([&, t = static_cast<GpuId>(g)] {
             const std::size_t dim = config_.dim;
@@ -1338,10 +1256,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
             std::vector<float *> miss_outs;
             std::vector<std::size_t> owned_miss;
             std::vector<Step> owned_hint;
-            // Claim buffer for cooperative flushing at the gate, plus
-            // the same 1-in-16 lag sampling the flushers use.
+            // Claim buffer for cooperative flushing at the gate.
             std::vector<ClaimTicket> assist;
-            std::size_t lag_tick = 0;
             // Simulated-PCIe debt for demand gathers, amortized into
             // sleep quanta (EngineConfig::host_gather_ns).
             std::uint64_t gather_debt_ns = 0;
@@ -1361,126 +1277,72 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                            drained_steps.load(std::memory_order_acquire) >=
                                s &&
                            (config_.disable_gate_unsafe ||
-                            !queue->HasPendingAtOrBelow(s));
+                            !queue.HasPendingAtOrBelow(s));
                 };
                 const auto wait_start = std::chrono::steady_clock::now();
                 if (!gate_open()) {
                     ++local.gate_waits;
-                    if (config_.coalesced_flush) {
-                        // Cooperative flushing: the gate is blocked
-                        // until the pending entries at or below s are
-                        // applied, so apply them *here* instead of
-                        // parking and paying two context switches
-                        // (wake a flusher, then get woken back) per
-                        // step on the critical path. The claim
-                        // protocol makes this safe — whoever wins the
-                        // claim owns the flush — and flush_entry_run
-                        // keeps the per-key order canonical no matter
-                        // who applies. Claims are batched and grouped
-                        // exactly like the flusher loop; the trainer
-                        // cannot die mid-assist (trainer death fires
-                        // at step boundaries), so no claim ledger is
-                        // needed.
-                        // Fruitless passes before escalating from
-                        // yield to a timed CV park.
-                        constexpr std::size_t kAssistYields = 32;
-                        std::size_t idle_passes = 0;
-                        while (!gate_open()) {
-                            const Step floor = current_step.load(
-                                std::memory_order_acquire);
-                            queue->SetScanBounds(
-                                floor, prefetch_frontier.load(
-                                           std::memory_order_acquire));
-                            assist.clear();
-                            // Bounded claim: only the entries blocking
-                            // *this* gate (priority <= s). Later-step
-                            // and deferred entries stay enqueued so
-                            // their writes keep coalescing for the
-                            // flush threads.
-                            if (queue->DequeueClaimBelow(
-                                    assist,
-                                    // relaxed: degradation knob.
-                                    effective_flush_batch.load(
-                                        std::memory_order_relaxed),
-                                    t, s) == 0) {
-                                // Nothing claimable: the gate waits on
-                                // the prefetcher or a peer's step
-                                // registration, or the work is in
-                                // flight on a flusher. Yield first — on
-                                // a machine with fewer cores than
-                                // threads that hands the timeslice
-                                // straight to whichever thread the gate
-                                // is waiting for, without a futex round
-                                // trip — and only park on the CV after
-                                // a streak of fruitless passes.
-                                if (++idle_passes < kAssistYields) {
-                                    std::this_thread::yield();
-                                } else {
-                                    std::unique_lock<std::mutex> lock(
-                                        gate_mutex);
-                                    gate_cv.wait_for(
-                                        lock,
-                                        std::chrono::microseconds(200),
-                                        gate_open);
-                                }
-                                continue;
+                    // Cooperative flushing: the gate is blocked until the
+                    // pending entries at or below s are applied, so apply
+                    // them *here* instead of parking and paying two
+                    // context switches (wake a flusher, then get woken
+                    // back) per step on the critical path. The claim
+                    // protocol makes this safe — whoever wins the claim
+                    // owns the flush — and apply_claims keeps the per-key
+                    // order canonical no matter who applies. The trainer
+                    // cannot die mid-assist (trainer death fires at step
+                    // boundaries), so no claim ledger is needed.
+                    // Fruitless passes before escalating from yield to a
+                    // timed CV park.
+                    constexpr std::size_t kAssistYields = 32;
+                    std::size_t idle_passes = 0;
+                    while (!gate_open()) {
+                        const Step floor =
+                            current_step.load(std::memory_order_acquire);
+                        queue.SetScanBounds(
+                            floor,
+                            prefetch_frontier.load(std::memory_order_acquire));
+                        assist.clear();
+                        // Bounded claim: only the entries blocking *this*
+                        // gate (priority <= s). Later-step and deferred
+                        // entries stay enqueued so their writes keep
+                        // coalescing for the flush threads.
+                        if (queue.DequeueClaimBelow(
+                                assist,
+                                // relaxed: degradation knob.
+                                effective_flush_batch.load(
+                                    std::memory_order_relaxed),
+                                t, s) == 0) {
+                            // Nothing claimable: the gate waits on the
+                            // prefetcher or a peer's step registration,
+                            // or the work is in flight on a flusher.
+                            // Yield first — on a machine with fewer cores
+                            // than threads that hands the timeslice
+                            // straight to whichever thread the gate is
+                            // waiting for, without a futex round trip —
+                            // and only park on the CV after a streak of
+                            // fruitless passes.
+                            if (++idle_passes < kAssistYields) {
+                                std::this_thread::yield();
+                            } else {
+                                std::unique_lock<std::mutex> lock(
+                                    gate_mutex);
+                                gate_cv.wait_for(
+                                    lock, std::chrono::microseconds(200),
+                                    gate_open);
                             }
-                            idle_passes = 0;
+                            continue;
+                        }
+                        idle_passes = 0;
 #if FRUGAL_DCHECK_ENABLED
-                            if (auditor_armed)
-                                auditor.OnClaimBatch(assist, floor);
+                        if (auditor_armed)
+                            auditor.OnClaimBatch(assist, floor);
 #endif
-                            // relaxed: monotonic stat counter.
-                            entry_claims.fetch_add(
-                                assist.size(),
-                                std::memory_order_relaxed);
-                            std::sort(assist.begin(), assist.end(),
-                                      [](const ClaimTicket &a,
-                                         const ClaimTicket &b) {
-                                          return a.entry->key() <
-                                                 b.entry->key();
-                                      });
-                            std::size_t i = 0;
-                            while (i < assist.size()) {
-                                std::size_t j = i + 1;
-                                while (j < assist.size() &&
-                                       assist[j].entry ==
-                                           assist[i].entry)
-                                    ++j;
-                                if (config_.flush_delay_us > 0) {
-                                    // retry-exempt: injected delay.
-                                    std::this_thread::sleep_for(
-                                        std::chrono::microseconds(
-                                            config_.flush_delay_us *
-                                            static_cast<long>(j - i)));
-                                }
-                                const std::size_t applied =
-                                    flush_entry_run(
-                                        *assist[i].entry,
-                                        (lag_tick++ & 0xf) == 0
-                                            ? &*trainer_lag[t]
-                                            : nullptr);
-                                for (std::size_t k = i; k < j; ++k)
-                                    queue->OnFlushed(assist[k]);
-                                if (applied > 0) {
-                                    updates_applied.fetch_add(
-                                        applied,
-                                        std::memory_order_release);
-                                }
-                                i = j;
-                            }
-                            nudge_gate();
-                        }
-                    } else {
-                        std::unique_lock<std::mutex> lock(gate_mutex);
-                        // Timed re-check: a recovery action (flusher
-                        // respawn, claim reclaim) may race a notify;
-                        // the deadline bounds any lost wakeup to one
-                        // period.
-                        while (!gate_cv.wait_for(
-                            lock, std::chrono::milliseconds(50),
-                            gate_open)) {
-                        }
+                        // relaxed: monotonic stat counter.
+                        entry_claims.fetch_add(assist.size(),
+                                               std::memory_order_relaxed);
+                        apply_claims(assist, nullptr, &*trainer_lag[t]);
+                        nudge_gate();
                     }
                 }
                 const auto wait_end = std::chrono::steady_clock::now();
@@ -1658,7 +1520,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         // slots and reclaiming their claims meanwhile.
         while (true) {
             bool clean = drain_done.load(std::memory_order_acquire) &&
-                         queue->SizeApprox() == 0;
+                         queue.SizeApprox() == 0;
             if (clean) {
                 for (const auto &slot : flusher_slots) {
                     if (slot->dead.load(std::memory_order_acquire) ||
@@ -1723,9 +1585,9 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     // Safe to read without the slot locks: every flusher thread is
     // joined above, which happens-after its last histogram write.
     for (const auto &slot : flusher_slots)
-        report.flush_lag.Merge(slot->lag);
+        report.flush_lag.Merge(slot->lag.hist);
     for (const auto &lag : trainer_lag)
-        report.flush_lag.Merge(*lag);
+        report.flush_lag.Merge(lag->hist);
     report.stall_per_step = stall_stats[0];
     for (double s : stall_seconds)
         report.stall_seconds_total += s;
@@ -1774,7 +1636,7 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     if (auditor_armed) {
         // Quiescent accounting: queue counters exactly drained, every
         // g-entry back to the (W = ∅, dequeued, priority = ∞) state.
-        auditor.OnQuiescent(*queue, registry);
+        auditor.OnQuiescent(queue, registry);
         auditor.ExpectClean();
         FRUGAL_DEBUG("invariant auditor: " << auditor.checks()
                                            << " checks, 0 violations");

@@ -2,8 +2,8 @@
  * @file
  * The full Frugal system (§3): trainer threads with the P²F gate, a
  * controller (prefetch thread, N flush threads), private sharded GPU
- * caches, UVA-style direct host reads, and the
- * two-level PQ (or the TreeHeap baseline) scheduling proactive flushes.
+ * caches, UVA-style direct host reads, and the two-level PQ scheduling
+ * proactive flushes.
  *
  * Thread roles (Fig. 5):
  *  - n trainer threads: gate on `PQ.top() > s`, gather (local cache for
@@ -21,6 +21,12 @@
  *  - `flush_threads` flush threads: claim min-priority g-entries, apply
  *    their W sets to host memory, refresh the owner GPU's cached copy
  *    ("H2D"), and wake the gate.
+ *
+ * There is one flush path. A claim batch — taken by a flush thread, by a
+ * gate-blocked trainer claiming the entries blocking its own gate
+ * (cooperative flushing), or by the watchdog reclaiming a dead flush
+ * thread's claims — is sorted by key and each same-entry run is flushed
+ * once through FlushEntry (pq/pq_ops.h).
  */
 #ifndef FRUGAL_RUNTIME_FRUGAL_ENGINE_H_
 #define FRUGAL_RUNTIME_FRUGAL_ENGINE_H_
@@ -41,7 +47,7 @@ class FrugalEngine final : public Engine
     std::string
     Name() const override
     {
-        return config_.use_tree_heap ? "frugal-treeheap" : "frugal";
+        return "frugal";
     }
 };
 

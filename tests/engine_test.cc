@@ -10,7 +10,6 @@
 
 #include "common/distribution.h"
 #include "runtime/baseline_engines.h"
-#include "runtime/frugal_engine.h"
 #include "runtime/microtask.h"
 #include "runtime/oracle.h"
 
@@ -243,16 +242,18 @@ TEST(EngineTest, RerunAfterResetIsReproducible)
     EXPECT_TRUE(TablesBitEqual(engine->table(), snapshot));
 }
 
-TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
+TEST(EngineTest, UnshardedQueueMatchesOracleBitForBit)
 {
-    // The pre-overhaul control plane (unsharded PQ, per-ticket flush
-    // application) stays selectable as the benchmark control; both
-    // shapes must train to exactly the same parameters.
+    // pq_shards = 1 homes every entry of a priority bucket in one
+    // sub-bucket, so the flush threads and the gate-blocked trainers all
+    // dequeue from the same slot sets. The trained table must still equal
+    // the oracle's bit for bit.
     EngineConfig config;
     config.n_gpus = 2;
     config.dim = 8;
     config.key_space = 256;
     config.flush_threads = 4;
+    config.pq_shards = 1;
     config.audit_consistency = true;
 
     Rng rng(91);
@@ -260,24 +261,11 @@ TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
     const Trace trace = Trace::Synthetic(dist, rng, 50, 2, 16);
     const GradFn task = MakeLinearGradTask();
 
-    EngineConfig legacy = config;
-    legacy.pq_shards = 1;
-    legacy.coalesced_flush = false;
-
-    auto coalesced_engine = MakeEngine("frugal", config);
-    auto legacy_engine = MakeEngine("frugal", legacy);
-    const RunReport coalesced_report = coalesced_engine->Run(trace, task);
-    const RunReport legacy_report = legacy_engine->Run(trace, task);
-
-    EXPECT_EQ(coalesced_report.audit_violations, 0u);
-    EXPECT_EQ(legacy_report.audit_violations, 0u);
-    EXPECT_EQ(coalesced_report.updates_applied,
-              legacy_report.updates_applied);
-    // Flush-lag instrumentation rides the coalesced path only.
-    EXPECT_GT(coalesced_report.flush_lag.count(), 0u);
-    EXPECT_EQ(legacy_report.flush_lag.count(), 0u);
-    EXPECT_TRUE(
-        TablesBitEqual(coalesced_engine->table(), legacy_engine->table()));
+    auto engine = MakeEngine("frugal", config);
+    const RunReport report = engine->Run(trace, task);
+    EXPECT_EQ(report.audit_violations, 0u);
+    EXPECT_EQ(report.updates_applied, report.updates_emitted);
+    EXPECT_GT(report.flush_lag.count(), 0u);
 
     EmbeddingTableConfig tc;
     tc.key_space = config.key_space;
@@ -288,7 +276,7 @@ TEST(EngineTest, LegacyFlushShapeMatchesCoalescedBitForBit)
     auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
                              config.key_space, config.dim);
     RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(coalesced_engine->table(), oracle_table));
+    EXPECT_TRUE(TablesBitEqual(engine->table(), oracle_table));
 }
 
 TEST(EngineTest, SingleKeyAdversarialBatch)
@@ -322,37 +310,6 @@ TEST(EngineTest, SingleKeyAdversarialBatch)
     auto opt = MakeOptimizer("sgd", config.learning_rate, 8, 4);
     RunOracle(oracle_table, *opt, trace, task);
     EXPECT_TRUE(TablesBitEqual(engine->table(), oracle_table));
-}
-
-TEST(EngineTest, TreeHeapQueueVariantIsAlsoConsistent)
-{
-    EngineConfig config;
-    config.n_gpus = 2;
-    config.dim = 4;
-    config.key_space = 128;
-    config.flush_threads = 4;
-    config.use_tree_heap = true;
-    config.audit_consistency = true;
-
-    Rng rng(9);
-    ZipfDistribution dist(128, 0.9);
-    const Trace trace = Trace::Synthetic(dist, rng, 40, 2, 16);
-    const GradFn task = MakeLinearGradTask();
-
-    FrugalEngine engine(config);
-    EXPECT_EQ(engine.Name(), "frugal-treeheap");
-    const RunReport report = engine.Run(trace, task);
-    EXPECT_EQ(report.audit_violations, 0u);
-
-    EmbeddingTableConfig tc;
-    tc.key_space = 128;
-    tc.dim = 4;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer("sgd", config.learning_rate, 128, 4);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table));
 }
 
 TEST(EngineTest, CacheStatsPlausible)

@@ -558,154 +558,6 @@ TEST(ModelCheckTwoLevelPQ, ZombieEnqueueKeepsGateClosedUntilApplied)
 }
 
 // --------------------------------------------------------------------
-// Bounded-queue gate protocol (BlockingQueue::PushFor / Pop).
-//
-// BlockingQueue itself runs on std::mutex + condition_variable, which
-// the explorer does not shim; what it CAN check is the gate protocol
-// those primitives implement: the push-full and pop-empty gates must be
-// (re-)evaluated under the same lock that guards the buffer.
-// MiniBoundedQueue reproduces exactly that protocol over Spinlock +
-// model_atomic. The buggy variant samples the push gate *before* taking
-// the lock (the size()-then-Push TOCTOU a caller could write against
-// the real queue); the explorer must find the schedule where two
-// producers both pass the stale gate and overshoot the capacity bound.
-// --------------------------------------------------------------------
-
-struct MiniBoundedQueue
-{
-    static constexpr std::size_t kCapacity = 2;
-    // Ring has slack beyond the capacity bound so the buggy variant's
-    // overshoot is observed by the occupancy assert, not by memory
-    // corruption.
-    static constexpr std::size_t kSlots = kCapacity + 2;
-
-    Spinlock lock;
-    std::array<int, kSlots> ring{};
-    std::size_t head = 0;  // guarded by lock
-    std::size_t tail = 0;  // guarded by lock
-    model_atomic<std::size_t> occupancy{0};
-    model_atomic<std::size_t> pushed_count{0};
-    model_atomic<int> pushed_sum{0};
-    model_atomic<std::size_t> popped_count{0};
-    model_atomic<int> popped_sum{0};
-
-    /** One bounded-push attempt (the body of PushFor after its wait
-     *  came back "not full"): returns false when the gate holds it
-     *  back — the caller's throttle path. */
-    bool
-    TryPush(int value, bool gate_under_lock)
-    {
-        if (!gate_under_lock &&
-            occupancy.load() >= kCapacity)  // TOCTOU: stale gate
-            return false;
-        SpinGuard guard(lock);
-        if (gate_under_lock && occupancy.load() >= kCapacity)
-            return false;
-        ring[tail % kSlots] = value;
-        ++tail;
-        const std::size_t occ = occupancy.fetch_add(1) + 1;
-        check::ModelAssert(occ <= kCapacity,
-                           "push-full gate breached: occupancy "
-                           "exceeded capacity");
-        pushed_count.fetch_add(1);
-        pushed_sum.fetch_add(value);
-        return true;
-    }
-
-    /** One pop attempt; false on the empty gate. */
-    bool
-    TryPop()
-    {
-        SpinGuard guard(lock);
-        if (occupancy.load() == 0)
-            return false;
-        const std::size_t before = occupancy.fetch_sub(1);
-        check::ModelAssert(before >= 1,
-                           "pop-empty gate breached: occupancy "
-                           "underflow");
-        const int value = ring[head % kSlots];
-        ++head;
-        popped_count.fetch_add(1);
-        popped_sum.fetch_add(value);
-        return true;
-    }
-};
-
-check::Result
-ExploreBoundedQueue(bool gate_under_lock, const check::Options &options)
-{
-    return check::Explore(options, [gate_under_lock](check::Explorer &ex) {
-        auto queue = std::make_shared<MiniBoundedQueue>();
-        // Pre-seeded to capacity − 1 (off-model, driving thread): both
-        // producers then race for the single free slot, which is the
-        // exact window where the stale-gate variant overshoots.
-        queue->TryPush(1, /*gate_under_lock=*/true);
-
-        ex.Thread([queue, gate_under_lock] {
-            (void)queue->TryPush(10, gate_under_lock);
-        });
-        ex.Thread([queue, gate_under_lock] {
-            (void)queue->TryPush(20, gate_under_lock);
-        });
-        ex.Thread([queue] {
-            (void)queue->TryPop();
-            (void)queue->TryPop();
-        });
-        ex.Thread([queue] {
-            for (int i = 0; i < 2; ++i) {
-                check::ModelAssert(
-                    queue->occupancy.load() <=
-                        MiniBoundedQueue::kCapacity,
-                    "auditor observed occupancy above capacity");
-            }
-        });
-        ex.Go();
-
-        // Quiescent conservation only for the expected-clean variant: a
-        // violation-aborted run unwinds producers mid-protocol and the
-        // counters legitimately disagree.
-        if (gate_under_lock) {
-            while (queue->TryPop()) {
-            }
-            ex.Check(queue->occupancy.load() == 0,
-                     "quiescent: queue drained");
-            ex.Check(queue->popped_count.load() ==
-                         queue->pushed_count.load(),
-                     "every accepted item popped exactly once");
-            ex.Check(queue->popped_sum.load() ==
-                         queue->pushed_sum.load(),
-                     "popped values match pushed values");
-        }
-    });
-}
-
-TEST(ModelCheckBoundedQueue, GateUnderLockHoldsCapacityBound)
-{
-    FRUGAL_REQUIRE_MODELCHECK();
-    const check::Result result =
-        ExploreBoundedQueue(/*gate_under_lock=*/true, DefaultOptions());
-    ReportExploration("BoundedQueueGateUnderLock", result);
-    EXPECT_TRUE(result.clean()) << result.first_violation;
-    EXPECT_GE(result.distinct_schedules, kDistinctTarget);
-}
-
-TEST(ModelCheckBoundedQueue, StaleGateOvershootCaught)
-{
-    FRUGAL_REQUIRE_MODELCHECK();
-    check::Options options = DefaultOptions();
-    options.stop_on_violation = true;
-    const check::Result result =
-        ExploreBoundedQueue(/*gate_under_lock=*/false, options);
-    ReportExploration("BoundedQueueStaleGateCaught", result);
-    ASSERT_GT(result.violations, 0u)
-        << "the explorer failed to catch the stale push-full gate: "
-        << result.Summary();
-    EXPECT_NE(result.first_violation.find("gate breached"),
-              std::string::npos)
-        << result.first_violation;
-}
-
-// --------------------------------------------------------------------
 // Step registration: right after the step barrier, trainers claim the
 // step's registration parts through PartClaimer while a trainer already
 // at the next gate polls it. The gate must open only once every part is

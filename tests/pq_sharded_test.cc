@@ -275,9 +275,7 @@ TEST_P(PqShardedStressTest, ExactlyOnceFlushAndCleanAudit)
     TwoLevelPQ queue(config);
     queue.setScanCompression(param.compression);
     GEntryRegistry registry(16);
-    InvariantAuditor::Options auditor_options;
-    auditor_options.expect_sorted_batches = true;
-    InvariantAuditor auditor(auditor_options);
+    InvariantAuditor auditor;
 
     // Pre-generate the trace (deduped keys per step).
     Rng rng(99);
