@@ -49,13 +49,6 @@
 namespace frugal {
 namespace {
 
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
-
 /** Workload sized so replacement is the bottleneck: enough distinct
  *  keys that the 25% cells evict constantly, a single trace GPU so one
  *  cache sees the whole stream. */
@@ -169,28 +162,6 @@ RunReplay(const PolicySpec &policy, const Trace &trace,
     return result;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -199,23 +170,12 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_cache_policy.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    BenchArgs args{false, "BENCH_cache_policy.json"};
+    if (!ParseBenchArgs(argc, argv, &args))
+        return 2;
 
     Sizes sizes;
-    if (smoke) {
+    if (args.smoke) {
         sizes.steps = 120;
         sizes.repeats = 1;
         sizes.miss_gather_ns = 500;
@@ -325,6 +285,6 @@ main(int argc, char **argv)
     }
     headline.Print();
 
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args.out_path);
     return gate_ok ? 0 : 1;
 }

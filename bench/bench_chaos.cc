@@ -42,13 +42,6 @@
 namespace frugal {
 namespace {
 
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
-
 struct Sizes
 {
     std::uint64_t key_space = 2048;
@@ -68,7 +61,7 @@ BaseConfig(const Sizes &sizes)
     config.key_space = sizes.key_space;
     config.cache_ratio = 0.05;
     config.flush_threads = 2;
-    config.watchdog_poll_ms = 1;
+    config.control_poll_ms = 1;
     return config;
 }
 
@@ -121,28 +114,6 @@ StepsPerSecond(const RunReport &report)
                : 0.0;
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -151,23 +122,12 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_chaos.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    BenchArgs args{false, "BENCH_chaos.json"};
+    if (!ParseBenchArgs(argc, argv, &args))
+        return 2;
 
     Sizes sizes;
-    if (smoke) {
+    if (args.smoke) {
         sizes.key_space = 512;
         sizes.steps = 600;
         sizes.keys_per_gpu = 8;
@@ -208,7 +168,6 @@ main(int argc, char **argv)
     EngineConfig chaos_config = BaseConfig(sizes);
     chaos_config.fault_injector = &injector;
     chaos_config.memory_budget = &budget;
-    chaos_config.memory_poll_ms = 1;
     const Step squeeze_step = static_cast<Step>(sizes.steps / 3);
     const Step relief_step = static_cast<Step>(2 * sizes.steps / 3);
     const StepHook squeeze = [&budget, squeeze_step,
@@ -272,7 +231,7 @@ main(int argc, char **argv)
     metrics.push_back(Metric{
         "chaos_write_retries",
         static_cast<double>(chaos.recovery.write_retries), "count"});
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args.out_path);
 
     bool ok = true;
     if (!healthy_equal || !chaos_equal) {

@@ -36,13 +36,6 @@ SecondsSince(Clock::time_point start)
 }
 
 /** One benchmark result; serialised to BENCH_hotpath.json. */
-struct Metric
-{
-    std::string name;
-    double value = 0.0;
-    std::string unit;
-};
-
 // --- benchmarks --------------------------------------------------------
 
 struct Sizes
@@ -183,28 +176,6 @@ RunKernelBench(const Sizes &sizes, std::vector<Metric> &metrics)
         "GB/s"});
 }
 
-void
-WriteJson(const std::vector<Metric> &metrics, const std::string &path)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(out,
-                     "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
-                     metrics[i].name.c_str(), metrics[i].value,
-                     metrics[i].unit.c_str(),
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fclose(out);
-    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
-}
-
 }  // namespace
 }  // namespace frugal
 
@@ -213,26 +184,15 @@ main(int argc, char **argv)
 {
     using namespace frugal;
 
-    bool smoke = false;
-    std::string out_path = "BENCH_hotpath.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--out PATH]\n", argv[0]);
-            return 2;
-        }
-    }
+    BenchArgs args{false, "BENCH_hotpath.json"};
+    if (!ParseBenchArgs(argc, argv, &args))
+        return 2;
 
     PrintBanner("Hot path (DESIGN.md §8)",
                 "flat cache / registry / row kernels");
 
     Sizes sizes;
-    if (smoke) {
+    if (args.smoke) {
         sizes.cache_rows = 1 << 12;
         sizes.cache_ops = 100'000;
         sizes.registry_keys = 20'000;
@@ -277,6 +237,6 @@ main(int argc, char **argv)
     }
     kernels.Print();
 
-    WriteJson(metrics, out_path);
+    WriteJson(metrics, args.out_path);
     return 0;
 }

@@ -5,7 +5,7 @@
  *  1. Checkpoint-barrier overhead vs interval: how much wall time the
  *     consistent barrier (drain + fsync'd save) adds per run, split
  *     into pipeline-pause and file-save components.
- *  2. Recovery under injected flush-thread deaths: watchdog detect +
+ *  2. Recovery under injected flush-thread deaths: control-loop detect +
  *     reclaim + respawn, and what the faults cost end to end while the
  *     result stays bit-identical to the fault-free run.
  *  3. Transient host-write failures: retry/backoff overhead at a given
@@ -36,7 +36,7 @@ BenchConfig()
     config.key_space = 1 << 14;
     config.cache_ratio = 0.05;
     config.flush_threads = 4;
-    config.watchdog_poll_ms = 1;
+    config.control_poll_ms = 1;
     return config;
 }
 
@@ -56,7 +56,7 @@ main()
     using namespace frugal;
 
     PrintBanner("Recovery bench",
-                "fault-tolerance layer: checkpoint barriers, watchdog "
+                "fault-tolerance layer: checkpoint barriers, control-loop "
                 "recovery, write retries");
 
     const EngineConfig base = BenchConfig();
@@ -96,9 +96,9 @@ main()
     ckpt_table.Print();
     std::remove(ckpt_path.c_str());
 
-    // --- 2. watchdog recovery under flush-thread deaths --------------
+    // --- 2. control-loop recovery under flush-thread deaths ----------
     TablePrinter death_table(
-        "Injected flush-thread deaths (watchdog poll 1 ms)",
+        "Injected flush-thread deaths (control poll 1 ms)",
         {"Deaths", "Wall", "Respawns", "Claims reclaimed",
          "Recovery time", "Bit-equal"});
     FrugalEngine healthy(base);
@@ -174,7 +174,7 @@ main()
 
     std::printf(
         "Consistent checkpoints cost one pipeline drain + fsync each; "
-        "flush-thread deaths are absorbed by the watchdog with no "
+        "flush-thread deaths are absorbed by the control loop with no "
         "numerical effect; transient write failures cost retries, not "
         "correctness.\n");
     return 0;

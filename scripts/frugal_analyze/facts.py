@@ -67,7 +67,7 @@ class AllocSite:
 class BlockingSite:
     """A directly-blocking primitive: a CV wait, a sleep, file I/O.
 
-    Higher-level blocking operations (Watchdog::Start, Mutex
+    Higher-level blocking operations (ControlLoop::Stop, Mutex
     acquisition, RetryWithBackoff) are *not* recorded here — they reach
     the checks transitively through call-graph summaries, which keeps
     the primitive vocabulary tiny and both frontends in agreement."""

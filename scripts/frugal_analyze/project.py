@@ -69,22 +69,21 @@ LOCK_RANKS: Dict[str, int] = {
 # ---------------------------------------------------------------------------
 # Hot-path allocation-freedom list. Entries match a function's qualified
 # name (`Class::Name`) or its unqualified name when given bare; lambda
-# hot paths (refresh_cache & friends) are matched by the variable they
-# are bound to.
+# hot paths are matched by the variable they are bound to.
 # ---------------------------------------------------------------------------
 
 HOT_FUNCTIONS = (
     # The one per-entry flush (pq/pq_ops.h), run by flush threads,
-    # gate-blocked trainers and the watchdog's reclaim
+    # gate-blocked trainers and the control loop's reclaim
     "FlushEntry",
-    # FrugalEngine flush data plane (lambdas in frugal_engine.cc): the
+    # FrugalEngine flush data plane (runtime/flush_tier.cc): the
     # claim-batch routine with its batched-apply callback, and the
     # owner-cache refresh
-    "apply_claims",
-    "refresh_cache",
+    "FlushTier::ApplyClaims",
+    "FlushTier::RefreshCache",
     # Step registration, run by the trainers after every step barrier
-    # (lambda in frugal_engine.cc)
-    "register_part",
+    # (runtime/step_registration.cc)
+    "StepRegistration::RegisterPart",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",
     # GPU cache operations on the trainer critical path

@@ -40,6 +40,8 @@ FaultSiteName(FaultSite site)
         return "alloc-failure";
     case FaultSite::kCheckpointTornWrite:
         return "checkpoint-torn-write";
+    case FaultSite::kFlushDelay:
+        return "flush-delay";
     case FaultSite::kSiteCount:
         break;
     }

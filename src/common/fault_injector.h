@@ -47,7 +47,11 @@
  *                           mid-stream *before* fsync: only a prefix of
  *                           the image reaches the file and SaveCheckpoint
  *                           reports a transient failure (the temp file is
- *                           discarded; the previous checkpoint survives).
+ *                           discarded; the previous checkpoint survives);
+ *  - kFlushDelay          — one same-entry run of a claim batch is applied
+ *                           slowly, whoever applies it: a slow host-memory
+ *                           path or an overloaded flusher (context: key;
+ *                           payload: microseconds per claim ticket).
  */
 #ifndef FRUGAL_COMMON_FAULT_INJECTOR_H_
 #define FRUGAL_COMMON_FAULT_INJECTOR_H_
@@ -75,6 +79,7 @@ enum class FaultSite : std::uint8_t {
     kCheckpointCorrupt,
     kAllocFailure,
     kCheckpointTornWrite,
+    kFlushDelay,
     kSiteCount,  // sentinel; keep last
 };
 

@@ -18,28 +18,33 @@
  *  - GEntryRegistry shard locks protect only the Key→GEntry map; the
  *    registry's ForEach visits entries (which lock themselves) under
  *    the shard lock, so shards rank below entries.
- *  - Flusher-slot locks (the crash-recovery claim ledgers each flush
- *    thread publishes for the watchdog) guard only a ticket vector.
- *    They are designed as leaves — bookkeeping happens before or after
- *    a flush, never around it — but rank below kGEntry so that even a
- *    future caller that flushes while holding one stays ordered. The
- *    watchdog's sampling path in particular must never hold a rank
- *    ≥ kGEntry: it reads slot ledgers and atomics only, so a stalled
- *    flush thread can never block the component that diagnoses stalls.
+ *  - Flusher-slot locks (FlusherSlot::lock: the crash-recovery claim
+ *    ledgers each flush thread publishes for the control loop) guard
+ *    only a ticket vector. They are designed as leaves — bookkeeping
+ *    happens before or after a flush, never around it — but rank below
+ *    kGEntry so that even a future caller that flushes while holding one
+ *    stays ordered. The control loop's sampling path (ControlLoop::Sample
+ *    via FlushTier::Sample, and FlushTier::Describe for a diagnosis) in
+ *    particular must never hold a rank ≥ kGEntry: it reads slot ledgers
+ *    and atomics only, so a stalled flush thread can never block the
+ *    component that diagnoses stalls.
  *  - GEntry locks are held across FlushQueue calls (Enqueue /
  *    OnPriorityChange / the claim-validation protocol), so entries rank
  *    below queue-internal locks (TreeHeapPQ's heap lock; TwoLevelPQ has
  *    none).
  *  - Trainers register each step's updates right after the step
- *    barrier, holding no lock when they start: a registry shard lock
- *    resolves the part's g-entries (GetOrCreateBatch, released), then
- *    each entry lock is held across its FlushQueue calls
- *    (RegisterUpdate) — kRegistryShard, then kGEntry → kFlushQueue.
- *  - Every flush (FlushEntry: flush threads, gate-blocked trainers and
- *    the watchdog's reclaim) applies writes (embedding-table row locks)
- *    and refreshes caches while holding the entry lock, so table rows
- *    and caches rank above entries. Rows and caches are leaf locks relative to each
- *    other (never nested), but get distinct ranks for clarity.
+ *    barrier (StepRegistration::RegisterPart), holding no lock when
+ *    they start: a registry shard lock resolves the part's g-entries
+ *    (GetOrCreateBatch, released), then each entry lock is held across
+ *    its FlushQueue calls (RegisterUpdate) — kRegistryShard, then
+ *    kGEntry → kFlushQueue.
+ *  - Every flush (FlushEntry via FlushTier::ApplyClaims: flush threads,
+ *    gate-blocked trainers and the control loop's FlushTier::ReclaimDead)
+ *    applies writes (embedding-table row locks) and refreshes caches
+ *    (FlushTier::RefreshCache) while holding the entry lock, so table
+ *    rows and caches rank above entries. Rows and caches are leaf locks
+ *    relative to each other (never nested), but get distinct ranks for
+ *    clarity.
  *
  * Unranked locks opt out of checking entirely: they must be leaves
  * (nothing ranked is acquired while holding one).
@@ -62,7 +67,7 @@ namespace frugal {
 enum class LockRank : std::uint8_t {
     kUnranked = 0,       ///< excluded from order checking (leaf-only)
     kRegistryShard = 10, ///< GEntryRegistry shard map locks
-    kRecoverySlot = 15,  ///< flusher-slot claim ledgers (watchdog recovery)
+    kRecoverySlot = 15,  ///< flusher-slot claim ledgers (dead-flusher reclaim)
     kGEntry = 20,        ///< per-parameter g-entry locks
     kFlushQueue = 30,    ///< FlushQueue-internal locks (TreeHeapPQ heap)
     kTableRow = 40,      ///< HostEmbeddingTable striped row locks

@@ -23,9 +23,10 @@
  *
  * Concurrency: components publish gauges from their own threads;
  * `Evaluate()` — the stage calculator — is intended for a single
- * monitor thread, while `stage()` and the counters are safe to read
- * from anywhere. A zero budget disables classification (always
- * kNormal), which is the default-off legacy behaviour.
+ * sampling thread (the engine's control loop), while `stage()` and the
+ * counters are safe to read from anywhere. A zero budget disables
+ * classification (always kNormal), which is the default-off legacy
+ * behaviour.
  */
 #ifndef FRUGAL_COMMON_MEMORY_BUDGET_H_
 #define FRUGAL_COMMON_MEMORY_BUDGET_H_
@@ -94,7 +95,7 @@ class MemoryBudget
     /**
      * Recomputes the stage from the current gauges and budget,
      * applying hysteresis against the previous stage and counting
-     * transitions. Call from one monitor thread; returns the stage
+     * transitions. Call from one sampling thread; returns the stage
      * now in force.
      */
     PressureStage Evaluate();

@@ -13,10 +13,10 @@
  * nothing, so the annotations cost zero and the code stays portable.
  *
  * Conventions in this repo (see DESIGN.md §10):
- *  - `Spinlock` and `Mutex` are CAPABILITY types; acquire through the
- *    scoped guards (`SpinGuard`, `MutexLock`) so the analysis sees the
- *    critical-section extent. Raw lock()/unlock() pairs are reserved
- *    for the few sites a scope cannot express.
+ *  - `Spinlock` is a CAPABILITY type; acquire it through the scoped
+ *    guard (`SpinGuard`) so the analysis sees the critical-section
+ *    extent. Raw lock()/unlock() pairs are reserved for the few sites a
+ *    scope cannot express.
  *  - Methods named *Locked carry FRUGAL_REQUIRES(lock) — the annotation
  *    and the suffix must agree; drop neither.
  *  - Lock-getter accessors (`GEntry::lock()`) carry

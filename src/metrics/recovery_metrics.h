@@ -1,10 +1,10 @@
 /**
  * @file
  * Fault-tolerance observability: one POD of counters/timers filled in by
- * the engine's recovery machinery (fault injector, watchdog, checkpoint
- * barrier) and a TablePrinter view for benches. Lives in metrics, not
- * runtime, so bench binaries can format recovery results without
- * linking the engine — runtime links metrics, never the reverse.
+ * the engine's recovery machinery (fault injector, control loop,
+ * checkpoint barrier) and a TablePrinter view for benches. Lives in
+ * metrics, not runtime, so bench binaries can format recovery results
+ * without linking the engine — runtime links metrics, never the reverse.
  */
 #ifndef FRUGAL_METRICS_RECOVERY_METRICS_H_
 #define FRUGAL_METRICS_RECOVERY_METRICS_H_
@@ -17,7 +17,7 @@ namespace frugal {
 
 /**
  * Counters harvested after Engine::Run when fault tolerance is active.
- * All zero on a fault-free run with the watchdog idle.
+ * All zero on a fault-free run with the control loop idle.
  */
 struct RecoveryCounters
 {
@@ -27,7 +27,7 @@ struct RecoveryCounters
     std::uint64_t write_retries = 0;
     /** Flush threads that died mid-claim (injected). */
     std::uint64_t flusher_deaths = 0;
-    /** Flush threads respawned by the watchdog. */
+    /** Flush threads respawned by the control loop. */
     std::uint64_t flusher_respawns = 0;
     /** Abandoned claim tickets reclaimed (flushed or retired). */
     std::uint64_t claims_reclaimed = 0;
@@ -35,11 +35,11 @@ struct RecoveryCounters
     std::uint64_t trainer_deaths = 0;
     /** Ownership shards remapped to a surviving trainer. */
     std::uint64_t ownership_remaps = 0;
-    /** Stalls the watchdog classified past its deadline. */
+    /** Stalls the control loop classified past its deadline. */
     std::uint64_t stalls_detected = 0;
-    /** Recovery actions the watchdog completed. */
+    /** Dead-flusher recoveries the control loop completed. */
     std::uint64_t watchdog_recoveries = 0;
-    /** Watchdog sampling iterations. */
+    /** Control-loop ticks (stall samples). */
     std::uint64_t watchdog_polls = 0;
     /** Consistent checkpoint barriers taken mid-run. */
     std::uint64_t checkpoint_barriers = 0;
@@ -50,7 +50,7 @@ struct RecoveryCounters
     double checkpoint_pause_seconds = 0.0;
     /** Wall time spent serialising checkpoints (excluded from pause). */
     double checkpoint_save_seconds = 0.0;
-    /** Wall time spent inside watchdog recovery actions. */
+    /** Wall time spent inside control-loop recoveries. */
     double recovery_seconds = 0.0;
 };
 
@@ -65,7 +65,7 @@ TablePrinter RecoveryTable(const RecoveryCounters &counters,
  */
 struct OverloadCounters
 {
-    /** Pressure-stage changes observed by the monitor. */
+    /** Pressure-stage changes the control loop observed. */
     std::uint64_t pressure_transitions = 0;
     /** Highest pressure stage reached (0 normal / 1 elevated /
      *  2 critical). */

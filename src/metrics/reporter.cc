@@ -140,4 +140,44 @@ PrintBanner(const std::string &experiment_id,
     std::printf("==============================================================\n\n");
 }
 
+void
+WriteJson(const std::vector<Metric> &metrics, const std::string &path)
+{
+    std::FILE *out = std::fopen(path.c_str(), "w");
+    if (out == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return;
+    }
+    std::fprintf(out, "[\n");
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        std::fprintf(out,
+                     "  {\"metric\": \"%s\", \"value\": %.6g, "
+                     "\"unit\": \"%s\"}%s\n",
+                     metrics[i].name.c_str(), metrics[i].value,
+                     metrics[i].unit.c_str(),
+                     i + 1 < metrics.size() ? "," : "");
+    }
+    std::fprintf(out, "]\n");
+    std::fclose(out);
+    std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
+}
+
+bool
+ParseBenchArgs(int argc, char **argv, BenchArgs *args)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--smoke") {
+            args->smoke = true;
+        } else if (arg == "--out" && i + 1 < argc) {
+            args->out_path = argv[++i];
+        } else {
+            std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n",
+                         argv[0]);
+            return false;
+        }
+    }
+    return true;
+}
+
 }  // namespace frugal

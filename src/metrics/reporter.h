@@ -54,6 +54,34 @@ std::string FormatBandwidthGbps(double bytes_per_second);
 void PrintBanner(const std::string &experiment_id,
                  const std::string &description);
 
+/** One named bench result. */
+struct Metric
+{
+    std::string name;
+    double value = 0.0;
+    std::string unit;
+};
+
+/**
+ * Writes `metrics` to `path` as the JSON array the committed
+ * BENCH_*.json baselines use ({"metric", "value", "unit"} per record;
+ * scripts/bench_diff.py reads it) and reports the write on stdout.
+ */
+void WriteJson(const std::vector<Metric> &metrics, const std::string &path);
+
+/** The command line of the benches that write a metrics JSON. */
+struct BenchArgs
+{
+    /** `--smoke`: small sizes for a seconds-long CI run. */
+    bool smoke = false;
+    /** `--out PATH`: where the metrics JSON goes. */
+    std::string out_path;
+};
+
+/** Parses `[--smoke] [--out PATH]` into `args` (whose fields hold the
+ *  defaults); prints the usage and returns false on anything else. */
+bool ParseBenchArgs(int argc, char **argv, BenchArgs *args);
+
 }  // namespace frugal
 
 #endif  // FRUGAL_METRICS_REPORTER_H_

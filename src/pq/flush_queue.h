@@ -166,7 +166,7 @@ class FlushQueue
 
     /**
      * Best-effort human-readable state dump for stall diagnosis (the
-     * watchdog prints it when the pipeline freezes): top priority,
+     * control loop prints it when the pipeline freezes): top priority,
      * per-bucket logical/in-flight counts, scan bounds. Must be safe to
      * call concurrently with every other operation and must not take
      * locks of rank ≥ kGEntry — a wedged flush thread may hold those.

@@ -26,6 +26,7 @@ void
 Engine::ResetParameters()
 {
     table_->ResetParameters();
+    first_step_ = 0;
     // Stateful optimizers (Adagrad) restart from zero accumulators.
     optimizer_ = MakeOptimizer(config_.optimizer, config_.learning_rate,
                                config_.key_space, config_.dim);
@@ -56,6 +57,7 @@ Engine::ResumeFrom(const std::string &path)
                     "reset to initial parameters");
         return std::nullopt;
     }
+    first_step_ = extras.next_step;
     return extras.next_step;
 }
 

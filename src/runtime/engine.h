@@ -89,18 +89,15 @@ struct EngineConfig
 
     /**
      * Optional memory-pressure monitor (FrugalEngine only); the caller
-     * owns it and keeps it alive across Run. When set, the engine
-     * publishes its component byte gauges (registry arena/index, GPU
-     * caches, pending update batches) into the budget every monitor
-     * period and applies staged degradation reactions on pressure
+     * owns it and keeps it alive across Run. When set, the engine's
+     * control loop publishes its component byte gauges (registry
+     * arena/index, GPU caches, pending update batches) into the budget
+     * every tick and applies staged degradation reactions on pressure
      * transitions: elevated sheds prefetch lookahead and flush
      * coalescing width; critical additionally shrinks the GPU caches
      * online (GpuCache::Resize). See DESIGN.md §12.2.
      */
     MemoryBudget *memory_budget = nullptr;
-
-    /** Pressure monitor sampling period. */
-    int memory_poll_ms = 2;
 
     /** "sgd" or "adagrad". */
     std::string optimizer = "sgd";
@@ -122,11 +119,6 @@ struct EngineConfig
      */
     bool disable_gate_unsafe = false;
 
-    /** Fault injection: artificial delay added per applied claim
-     *  ticket, whoever applies it (simulates a slow host-memory path /
-     *  overloaded flusher). */
-    int flush_delay_us = 0;
-
     /**
      * Simulated UVA gather latency, per row read from host memory
      * (FrugalEngine only; 0 = off). On real hardware a scattered
@@ -142,22 +134,15 @@ struct EngineConfig
      */
     int host_gather_ns = 0;
 
-    /**
-     * Optional armed fault injector (FrugalEngine only); the caller
-     * owns it and keeps it alive across Run. Plans containing
-     * kFlushThreadDeath rules require `watchdog` — only the watchdog
-     * reclaims abandoned claims, so without it the run would hang.
-     */
+    /** Optional armed fault injector (FrugalEngine only); the caller
+     *  owns it and keeps it alive across Run. */
     FaultInjector *fault_injector = nullptr;
 
-    /** Run the stall watchdog alongside the pipeline (FrugalEngine). */
-    bool watchdog = true;
-    int watchdog_poll_ms = 10;
+    /** FrugalEngine's control-loop tick: stall sampling, dead-flusher
+     *  recovery and, with a memory budget, the pressure reactions. */
+    int control_poll_ms = 10;
+    /** No-progress time after which the control loop reports a stall. */
     int watchdog_stall_ms = 2000;
-
-    /** Max attempts for one transiently failing host-table write; the
-     *  flush thread backs off exponentially between attempts. */
-    int write_retry_limit = 12;
 
     /**
      * Take a consistent checkpoint every N steps (0 = never). The
@@ -167,10 +152,6 @@ struct EngineConfig
      */
     std::size_t checkpoint_every_steps = 0;
     std::string checkpoint_path;
-
-    /** Global step number of the trace's first step (resumed runs
-     *  replay a suffix; the cursor stored in checkpoints is global). */
-    Step step_offset = 0;
 
     /** Per-GPU cache capacity in rows implied by the ratio. */
     std::size_t
@@ -252,6 +233,8 @@ class Engine
      * Restores a mid-training checkpoint (table rows, optimizer state,
      * trace cursor) saved by a checkpoint barrier. Validates that the
      * file's optimizer matches this engine's before touching anything.
+     * The next Run is then the trace suffix from the cursor: its
+     * checkpoint cadence and stored cursors count global steps.
      * @return the global step the resumed run should execute first, or
      *         nullopt if the checkpoint is missing/corrupt/mismatched
      *         (engine state is untouched).
@@ -260,6 +243,9 @@ class Engine
 
   protected:
     EngineConfig config_;
+    /** Global step of the next Run's first trace step (set by
+     *  ResumeFrom, cleared by ResetParameters). */
+    Step first_step_ = 0;
     std::unique_ptr<HostEmbeddingTable> table_;
     std::unique_ptr<Optimizer> optimizer_;
     KeyOwnership ownership_;

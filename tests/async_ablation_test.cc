@@ -2,13 +2,14 @@
  * The "why synchronous" ablation (§3): with the P²F gate disabled,
  * training becomes asynchronous — readers observe parameters with
  * unflushed updates — and the result diverges from the synchronous
- * oracle. A flush-delay fault injection makes the staleness
+ * oracle. A flush-delay fault rule makes the staleness
  * deterministic. Also tests the AUC metric the paper cites as the
  * accuracy currency of CTR models.
  */
 #include <gtest/gtest.h>
 
 #include "common/distribution.h"
+#include "common/fault_injector.h"
 #include "data/dataset_spec.h"
 #include "models/auc.h"
 #include "models/dlrm.h"
@@ -37,13 +38,16 @@ HotKeyTrace(std::uint32_t n_gpus, std::size_t steps)
 EngineConfig
 SlowFlushConfig()
 {
+    // Flushing far slower than stepping: 300 µs per applied ticket.
+    static FaultInjector slow_flush(FaultPlan{
+        .rules = {FaultRule{.site = FaultSite::kFlushDelay, .payload = 300}}});
     EngineConfig config;
     config.n_gpus = 2;
     config.dim = 4;
     config.key_space = 128;
     config.flush_threads = 1;
     config.flush_batch = 1;
-    config.flush_delay_us = 300;  // flushing far slower than stepping
+    config.fault_injector = &slow_flush;
     config.audit_consistency = true;
     return config;
 }

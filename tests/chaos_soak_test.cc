@@ -47,7 +47,7 @@ SoakConfig()
     config.cache_ratio = 0.05;
     config.flush_threads = 2;
     config.audit_consistency = true;
-    config.watchdog_poll_ms = 1;  // recover fast at test scale
+    config.control_poll_ms = 1;  // recover fast at test scale
     return config;
 }
 
@@ -169,11 +169,13 @@ TEST(ChaosSoakTest, OverloadCampaignRecoversWithoutLoss)
     trainer_death.payload = 1;  // victim GPU id
     plan.rules.push_back(trainer_death);
     AddRandomDrainStalls(plan, chaos_rng, /*count=*/6, /*payload_ms=*/10);
+    // A slow flush path: 2 µs per applied ticket.
+    plan.rules.push_back(
+        FaultRule{.site = FaultSite::kFlushDelay, .payload = 2});
     FaultInjector injector(plan);
 
     EngineConfig config = SoakConfig();
     config.fault_injector = &injector;
-    config.flush_delay_us = 2;
 
     Rng rng(42);
     ZipfDistribution dist(config.key_space, 0.9);
@@ -207,7 +209,6 @@ TEST(ChaosSoakTest, BudgetSqueezeCampaignDegradesBitEqual)
     EngineConfig config = SoakConfig();
     config.fault_injector = &injector;
     config.memory_budget = &budget;
-    config.memory_poll_ms = 1;
 
     Rng rng(43);
     ZipfDistribution dist(config.key_space, 0.9);

@@ -432,6 +432,57 @@ TEST_F(CheckpointTest, MidTrainingCheckpointResumeBitEqual)
               oracle.optimizer().ExportState());
 }
 
+TEST_F(CheckpointTest, ResumedRunCheckpointsGlobalCursor)
+{
+    // Crash, resume, checkpoint again, crash again, resume again. The
+    // resumed run's barrier must store a global cursor (32), not a
+    // trace-local one (16): resuming from 16 would apply steps 16..31 a
+    // second time on top of a table that already holds them.
+    EngineConfig config;
+    config.n_gpus = 2;
+    config.dim = 8;
+    config.key_space = 64;
+    config.flush_threads = 2;
+    config.optimizer = "adagrad";
+    Rng rng(12);
+    ZipfDistribution dist(64, 0.9);
+    const Trace trace = Trace::Synthetic(dist, rng, 40, 2, 8);
+    const GradFn task = MakeLinearGradTask();
+
+    EmbeddingTableConfig tc;
+    tc.key_space = config.key_space;
+    tc.dim = config.dim;
+    tc.init_seed = config.init_seed;
+    tc.init_scale = config.init_scale;
+    HostEmbeddingTable oracle_table(tc);
+    auto oracle_opt = MakeOptimizer(config.optimizer, config.learning_rate,
+                                    config.key_space, config.dim);
+    RunOracle(oracle_table, *oracle_opt, trace, task);
+
+    EngineConfig ckpt_config = config;
+    ckpt_config.checkpoint_every_steps = 16;
+    ckpt_config.checkpoint_path = path_;
+    FrugalEngine first(ckpt_config);
+    first.Run(trace.Slice(0, 20), task);  // checkpoint at 16, "crash" at 20
+
+    FrugalEngine second(ckpt_config);
+    auto cursor = second.ResumeFrom(path_);
+    ASSERT_TRUE(cursor.has_value());
+    ASSERT_EQ(*cursor, 16u);
+    const RunReport report =
+        second.Run(trace.Slice(*cursor, trace.NumSteps()), task);
+    EXPECT_EQ(report.recovery.checkpoint_barriers, 1u);  // global step 32
+
+    FrugalEngine third(config);
+    cursor = third.ResumeFrom(path_);
+    ASSERT_TRUE(cursor.has_value());
+    EXPECT_EQ(*cursor, 32u);
+    third.Run(trace.Slice(*cursor, trace.NumSteps()), task);
+    EXPECT_TRUE(TablesBitEqual(third.table(), oracle_table))
+        << "max diff " << MaxAbsTableDiff(third.table(), oracle_table);
+    EXPECT_EQ(third.optimizer().ExportState(), oracle_opt->ExportState());
+}
+
 TEST_F(CheckpointTest, ResumeFromRejectsOptimizerMismatch)
 {
     EngineConfig config;

@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
+#include <thread>
 
 #include "common/distribution.h"
+#include "common/memory_budget.h"
 #include "runtime/baseline_engines.h"
 #include "runtime/microtask.h"
 #include "runtime/oracle.h"
@@ -185,6 +188,46 @@ TEST(EngineTest, StepHookRunsOncePerStep)
         for (Step s = 0; s < 25; ++s)
             ASSERT_EQ(hooks[s], s) << name;
     }
+}
+
+/** Threads of this process, from /proc/self/task. */
+std::ptrdiff_t
+CountThreads()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+}
+
+TEST(EngineTest, BudgetedRunHasOneControlThread)
+{
+    // A FrugalEngine run adds the trainers, the flush threads, the
+    // prefetcher and one control thread — stall sampling and the
+    // memory-pressure reactions share it — to the calling thread.
+    EngineConfig config;
+    config.n_gpus = 2;
+    config.dim = 4;
+    config.key_space = 256;
+    config.flush_threads = 2;
+    MemoryBudget budget(1u << 30);
+    config.memory_budget = &budget;
+    Rng rng(5);
+    UniformDistribution dist(config.key_space);
+    // Counted early: the prefetcher returns once its lookahead window
+    // reaches the end of the trace.
+    const Trace trace = Trace::Synthetic(dist, rng, 60, 2, 8);
+
+    // The caller alone, plus a sanitizer runtime's helper thread if any
+    // (TSan starts one at the first thread creation, hence the warm-up).
+    std::thread([] {}).join();
+    const std::ptrdiff_t before = CountThreads();
+    std::ptrdiff_t during = 0;
+    MakeEngine("frugal", config)->Run(trace, MakeConstantGradTask(),
+                                      [&](Step s) {
+                                          if (s == 5)
+                                              during = CountThreads();
+                                      });
+    // 2 trainers, 2 flushers, the prefetcher and the control loop.
+    EXPECT_EQ(during, before + 2 + 2 + 2);
 }
 
 TEST(EngineTest, ResetParametersRestoresInit)

@@ -1,8 +1,9 @@
 /**
  * Fault-tolerance tests: scripted fault plans kill flush threads
  * mid-claim, fail host writes transiently, stall step registration, and
- * kill trainers at step boundaries — the watchdog must detect and recover,
- * and the final table must stay bit-equal to the fault-free oracle.
+ * kill trainers at step boundaries — the control loop must detect and
+ * recover, and the final table must stay bit-equal to the fault-free
+ * oracle.
  */
 #include <gtest/gtest.h>
 
@@ -22,7 +23,7 @@
 #include "runtime/frugal_engine.h"
 #include "runtime/microtask.h"
 #include "runtime/oracle.h"
-#include "runtime/watchdog.h"
+#include "runtime/stall_detector.h"
 
 namespace frugal {
 namespace {
@@ -37,7 +38,7 @@ BaseConfig()
     config.cache_ratio = 0.05;
     config.flush_threads = 2;
     config.audit_consistency = true;
-    config.watchdog_poll_ms = 1;  // recover fast at test scale
+    config.control_poll_ms = 1;  // recover fast at test scale
     return config;
 }
 
@@ -114,17 +115,20 @@ TEST(FaultInjectorTest, WindowAndContextGateRules)
     EXPECT_FALSE(injector.Fire(FaultSite::kTrainerDeath, 9));  // hit 4
 }
 
-// --- watchdog unit tests (scripted snapshots) -----------------------
+// --- stall detector unit tests (scripted snapshots and clock) -------
 
-TEST(WatchdogTest, ClassifyTaxonomy)
+using Clock = StallDetector::Clock;
+using std::chrono::milliseconds;
+
+TEST(StallDetectorTest, ClassifyTaxonomy)
 {
     ProgressSnapshot snap;
     snap.run_complete = true;
-    EXPECT_EQ(Watchdog::Classify(snap), StallKind::kNone);
+    EXPECT_EQ(StallDetector::Classify(snap), StallKind::kNone);
 
     snap = {};
     snap.dead_flushers = 1;
-    EXPECT_EQ(Watchdog::Classify(snap), StallKind::kDeadFlusher);
+    EXPECT_EQ(StallDetector::Classify(snap), StallKind::kDeadFlusher);
 
     snap = {};
     snap.current_step = 5;
@@ -132,121 +136,84 @@ TEST(WatchdogTest, ClassifyTaxonomy)
     snap.updates_emitted = 100;
     snap.updates_applied = 60;
     snap.staging_size = 40;
-    EXPECT_EQ(Watchdog::Classify(snap), StallKind::kDrainStall);
+    EXPECT_EQ(StallDetector::Classify(snap), StallKind::kDrainStall);
 
     snap = {};
     snap.updates_emitted = 100;
     snap.updates_applied = 90;
     snap.staging_size = 0;
     snap.pq_size = 0;
-    EXPECT_EQ(Watchdog::Classify(snap), StallKind::kClaimLeak);
+    EXPECT_EQ(StallDetector::Classify(snap), StallKind::kClaimLeak);
 
     snap = {};
     snap.updates_emitted = 100;
     snap.updates_applied = 100;
-    EXPECT_EQ(Watchdog::Classify(snap), StallKind::kEmptyQueueIdle);
+    EXPECT_EQ(StallDetector::Classify(snap), StallKind::kEmptyQueueIdle);
 
     // Counters sampled without mutual ordering may read applied ahead
     // of emitted; that must classify as idle, not wrap around.
     snap = {};
     snap.updates_emitted = 100;
     snap.updates_applied = 101;
-    EXPECT_EQ(Watchdog::Classify(snap), StallKind::kEmptyQueueIdle);
+    EXPECT_EQ(StallDetector::Classify(snap), StallKind::kEmptyQueueIdle);
 }
 
-TEST(WatchdogTest, DeadFlusherRecoveredBeforeDeadline)
+TEST(StallDetectorTest, DeadFlusherRecoveredBeforeDeadline)
 {
-    // A dead flusher is definitive: recovery must run on the next poll,
-    // long before the (here: enormous) stall deadline.
-    std::atomic<bool> dead{true};
-    std::atomic<int> recover_calls{0};
-    Watchdog::Config config;
-    config.poll = std::chrono::milliseconds(1);
-    config.stall_deadline = std::chrono::milliseconds(60000);
-    Watchdog watchdog(
-        config,
-        [&] {
-            ProgressSnapshot snap;
-            snap.dead_flushers = dead.load() ? 1 : 0;
-            return snap;
-        },
-        [&](StallKind kind) {
-            EXPECT_EQ(kind, StallKind::kDeadFlusher);
-            recover_calls.fetch_add(1);
-            dead.store(false);
-            return true;
-        },
-        {});
-    watchdog.Start();
-    for (int i = 0; i < 500 && recover_calls.load() == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    watchdog.Stop();
-    EXPECT_EQ(recover_calls.load(), 1);
-    EXPECT_GE(watchdog.recoveries(), 1u);
-    EXPECT_GE(watchdog.stalls_detected(), 1u);
+    // A dead flusher is definitive: the first sample that shows it asks
+    // for recovery, long before the (here: enormous) stall deadline.
+    const Clock::time_point t0{};
+    StallDetector detector(milliseconds(60000), ProgressSnapshot{}, t0);
+    ProgressSnapshot dead;
+    dead.dead_flushers = 1;
+    EXPECT_EQ(detector.Observe(dead, t0 + milliseconds(1)),
+              StallKind::kDeadFlusher);
+    detector.Recovered(ProgressSnapshot{}, t0 + milliseconds(1));
+    for (int ms = 2; ms < 50; ++ms) {
+        EXPECT_EQ(detector.Observe(ProgressSnapshot{}, t0 + milliseconds(ms)),
+                  StallKind::kNone);
+    }
+    EXPECT_EQ(detector.recoveries(), 1u);
+    EXPECT_EQ(detector.stalls_detected(), 1u);
 }
 
-TEST(WatchdogTest, TimedStallReportedButNotAutoRecovered)
+TEST(StallDetectorTest, TimedStallReportedButNotAutoRecovered)
 {
-    // No dead flag, just a frozen pipeline: the watchdog must classify
-    // and diagnose, and count a stall — but a recover callback that
-    // declines (returns false) means no recovery is recorded.
-    std::atomic<int> diagnose_calls{0};
-    Watchdog::Config config;
-    config.poll = std::chrono::milliseconds(2);
-    config.stall_deadline = std::chrono::milliseconds(10);
-    Watchdog watchdog(
-        config,
-        [] {
-            ProgressSnapshot snap;  // frozen forever
-            snap.current_step = 7;
-            snap.drained_steps = 5;
-            snap.updates_emitted = 10;
-            snap.staging_size = 10;
-            return snap;
-        },
-        [](StallKind kind) {
-            EXPECT_EQ(kind, StallKind::kDrainStall);
-            return false;
-        },
-        [&] {
-            diagnose_calls.fetch_add(1);
-            return std::string("scripted diagnosis");
-        });
-    watchdog.Start();
-    for (int i = 0; i < 500 && watchdog.stalls_detected() == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    watchdog.Stop();
-    EXPECT_EQ(watchdog.stalls_detected(), 1u);  // reported once, not spammed
-    EXPECT_EQ(watchdog.recoveries(), 0u);
-    EXPECT_EQ(diagnose_calls.load(), 1);
-    EXPECT_GT(watchdog.polls(), 0u);
+    // No dead flag, just a frozen pipeline: past the deadline the
+    // detector classifies and reports the stall exactly once, and never
+    // asks for recovery.
+    const Clock::time_point t0{};
+    ProgressSnapshot frozen;
+    frozen.current_step = 7;
+    frozen.drained_steps = 5;
+    frozen.updates_emitted = 10;
+    frozen.staging_size = 10;
+    StallDetector detector(milliseconds(10), frozen, t0);
+    for (int ms = 2; ms <= 100; ms += 2) {
+        const auto now = t0 + milliseconds(ms);
+        // Reported on the first sample at the deadline, then never again.
+        EXPECT_EQ(detector.Observe(frozen, now),
+                  ms == 10 ? StallKind::kDrainStall : StallKind::kNone);
+        EXPECT_EQ(detector.Idle(now), milliseconds(ms));
+    }
+    EXPECT_EQ(detector.stalls_detected(), 1u);
+    EXPECT_EQ(detector.recoveries(), 0u);
+    EXPECT_EQ(detector.polls(), 50u);
 }
 
-TEST(WatchdogTest, ProgressSuppressesStallReports)
+TEST(StallDetectorTest, ProgressSuppressesStallReports)
 {
-    std::atomic<std::uint64_t> counter{0};
-    Watchdog::Config config;
-    config.poll = std::chrono::milliseconds(1);
-    config.stall_deadline = std::chrono::milliseconds(5);
-    Watchdog watchdog(
-        config,
-        [&] {
-            ProgressSnapshot snap;
-            snap.updates_applied = counter.fetch_add(1);  // always advancing
-            snap.updates_emitted = snap.updates_applied + 1;
-            snap.pq_size = 1;
-            return snap;
-        },
-        [](StallKind) {
-            ADD_FAILURE() << "recover must not run while progressing";
-            return false;
-        },
-        {});
-    watchdog.Start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    watchdog.Stop();
-    EXPECT_EQ(watchdog.stalls_detected(), 0u);
+    const Clock::time_point t0{};
+    ProgressSnapshot snap;
+    snap.pq_size = 1;
+    StallDetector detector(milliseconds(5), snap, t0);
+    for (int ms = 1; ms <= 100; ++ms) {
+        ++snap.updates_applied;  // always advancing
+        snap.updates_emitted = snap.updates_applied + 1;
+        EXPECT_EQ(detector.Observe(snap, t0 + milliseconds(ms)),
+                  StallKind::kNone);
+    }
+    EXPECT_EQ(detector.stalls_detected(), 0u);
 }
 
 // --- engine-level fault drills --------------------------------------
