@@ -66,8 +66,9 @@ DESIGN.md §12.3). Route the loop through RetryWithBackoff
 the sleep `// retry-exempt: <why>` when it is genuinely not a retry
 (sampling period, injected test delay, idle self-wake).""",
     "hotpath-alloc": """\
-Allocation on a hot path: functions on the hot list (FlushEntry,
-DrainBucket, GpuCache::TryGet/Put/UpdateIfPresent, the oracular
+Allocation on a hot path: functions on the hot list (the flush body
+FlushEntryLocked and FlushEntry, the W-slot add path RegisterUpdates/
+GEntry::AddWriteLocked, DrainBucket, GpuCache::TryGet/Put/UpdateIfPresent, the oracular
 warm/evict paths (WarmBegin/WarmCommit/WarmOne/EvictIfDead/
 PickVictimLocked), the row kernels) must not allocate directly or via a
 directly-called function. Amortized growth of a thread_local or

@@ -73,16 +73,24 @@ LOCK_RANKS: Dict[str, int] = {
 # ---------------------------------------------------------------------------
 
 HOT_FUNCTIONS = (
-    # The one per-entry flush (pq/pq_ops.h), run by flush threads,
-    # gate-blocked trainers and the control loop's reclaim
+    # The one flush body and its claim wrapper (pq/pq_ops.h), run by
+    # flush threads, gate-blocked trainers, the control loop's reclaim
+    # and step registration (due entries)
+    "FlushEntryLocked",
     "FlushEntry",
-    # FrugalEngine flush data plane (runtime/flush_tier.cc): the
-    # claim-batch routine with its batched-apply callback, and the
+    # The slot-add path: a key's run of step updates under one entry
+    # lock, each row copied into a recycled W slot (pq/pq_ops.h,
+    # pq/g_entry.h)
+    "RegisterUpdates",
+    "GEntry::AddWriteLocked",
+    # FrugalEngine flush data plane (runtime/frugal_engine.cc): the
+    # claim-batch routine, the batched-apply callback and the
     # owner-cache refresh
     "FlushTier::ApplyClaims",
+    "FlushTier::ApplyWrites",
     "FlushTier::RefreshCache",
     # Step registration, run by the trainers after every step barrier
-    # (runtime/step_registration.cc)
+    # (runtime/frugal_engine.cc)
     "StepRegistration::RegisterPart",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",

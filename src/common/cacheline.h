@@ -14,6 +14,7 @@
 #define FRUGAL_COMMON_CACHELINE_H_
 
 #include <cstddef>
+#include <new>
 #include <utility>
 
 namespace frugal {
@@ -47,6 +48,51 @@ struct alignas(kCacheLineSize) CacheAligned
     const T *operator->() const { return &value; }
     T &operator*() { return value; }
     const T &operator*() const { return value; }
+};
+
+/**
+ * An allocator whose blocks start on a cache line and span whole lines,
+ * so a container's storage never shares a line with another allocation
+ * — whatever the heap placed next to it, and whichever thread writes
+ * there.
+ */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(Bytes(n), std::align_val_t{kCacheLineSize}));
+    }
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        ::operator delete(p, Bytes(n), std::align_val_t{kCacheLineSize});
+    }
+
+    template <typename U>
+    bool
+    operator==(const CacheLineAllocator<U> &) const noexcept
+    {
+        return true;
+    }
+
+  private:
+    static std::size_t
+    Bytes(std::size_t n)
+    {
+        return (n * sizeof(T) + kCacheLineSize - 1) / kCacheLineSize *
+               kCacheLineSize;
+    }
 };
 
 }  // namespace frugal

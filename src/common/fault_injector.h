@@ -48,10 +48,11 @@
  *                           the image reaches the file and SaveCheckpoint
  *                           reports a transient failure (the temp file is
  *                           discarded; the previous checkpoint survives);
- *  - kFlushDelay          — one same-entry run of a claim batch is applied
- *                           slowly, whoever applies it: a slow host-memory
- *                           path or an overloaded flusher (context: key;
- *                           payload: microseconds per claim ticket).
+ *  - kFlushDelay          — one entry flush is applied slowly, whoever
+ *                           applies it: a slow host-memory path or an
+ *                           overloaded flusher (context: key; payload:
+ *                           microseconds per claim ticket the flush
+ *                           retires, one for a flush at registration).
  */
 #ifndef FRUGAL_COMMON_FAULT_INJECTOR_H_
 #define FRUGAL_COMMON_FAULT_INJECTOR_H_

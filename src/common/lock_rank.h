@@ -36,12 +36,14 @@
  *    barrier (StepRegistration::RegisterPart), holding no lock when
  *    they start: a registry shard lock resolves the part's g-entries
  *    (GetOrCreateBatch, released), then each entry lock is held across
- *    its FlushQueue calls (RegisterUpdate) — kRegistryShard, then
- *    kGEntry → kFlushQueue.
- *  - Every flush (FlushEntry via FlushTier::ApplyClaims: flush threads,
- *    gate-blocked trainers and the control loop's FlushTier::ReclaimDead)
- *    applies writes (embedding-table row locks) and refreshes caches
- *    (FlushTier::RefreshCache) while holding the entry lock, so table
+ *    its FlushQueue calls or its flush (RegisterUpdates) —
+ *    kRegistryShard, then kGEntry → kFlushQueue / kTableRow / kGpuCache.
+ *  - Every flush (the one body, FlushEntryLocked: via
+ *    FlushTier::ApplyClaims for flush threads, gate-blocked trainers and
+ *    the control loop's FlushTier::ReclaimDead, and via RegisterUpdates
+ *    for an entry the next step reads) applies writes (embedding-table
+ *    row locks) and refreshes caches (FlushTier::RefreshCache) while
+ *    holding the entry lock, so table
  *    rows and caches rank above entries. Rows and caches are leaf locks
  *    relative to each other (never nested), but get distinct ranks for
  *    clarity.

@@ -101,10 +101,6 @@ struct PrefetchCounters
     std::uint64_t warms_shed = 0;
 };
 
-/** Renders prefetch counters as a two-column table. */
-TablePrinter PrefetchTable(const PrefetchCounters &counters,
-                           const std::string &caption);
-
 }  // namespace frugal
 
 #endif  // FRUGAL_METRICS_RECOVERY_METRICS_H_

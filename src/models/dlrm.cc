@@ -59,8 +59,7 @@ DlrmModel::DlrmModel(const DlrmConfig &config)
               return mlp_config;
           }(),
           config.n_gpus),
-      loss_accum_(config.n_gpus, 0.0),
-      examples_(config.n_gpus, 0)
+      loss_accum_(config.n_gpus), examples_(config.n_gpus)
 {
     FRUGAL_CHECK(config.n_features > 0);
 }
@@ -92,8 +91,8 @@ DlrmModel::BindGradFn(const DlrmWorkload &workload)
             gx.assign(input, 0.0f);
             const float loss =
                 mlp.TrainExample(x.data(), samples[i].label, gx.data());
-            loss_accum_[gpu] += loss;
-            examples_[gpu] += 1;
+            *loss_accum_[gpu] += loss;
+            *examples_[gpu] += 1;
             // Scatter dL/dx back onto the (deduplicated) key gradients.
             for (std::size_t f = 0; f < indices[i].size(); ++f) {
                 const float *src = gx.data() + f * dim;
@@ -115,10 +114,10 @@ DlrmModel::BindStepHook()
         std::size_t total_examples = 0;
         double total_loss = 0.0;
         for (std::uint32_t g = 0; g < config_.n_gpus; ++g) {
-            total_examples += examples_[g];
-            total_loss += loss_accum_[g];
-            examples_[g] = 0;
-            loss_accum_[g] = 0.0;
+            total_examples += *examples_[g];
+            total_loss += *loss_accum_[g];
+            *examples_[g] = 0;
+            *loss_accum_[g] = 0.0;
         }
         mlp_.AllReduceAndStep(total_examples);
         losses_.push_back(total_examples == 0
@@ -175,8 +174,8 @@ DlrmModel::Reset()
 {
     mlp_.Reset();
     losses_.clear();
-    loss_accum_.assign(config_.n_gpus, 0.0);
-    examples_.assign(config_.n_gpus, 0);
+    loss_accum_.assign(config_.n_gpus, {});
+    examples_.assign(config_.n_gpus, {});
 }
 
 }  // namespace frugal

@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/cacheline.h"
 #include "data/rec_dataset.h"
 #include "data/trace.h"
 #include "models/grad_fn.h"
@@ -91,8 +92,10 @@ class DlrmModel
   private:
     DlrmConfig config_;
     ReplicatedMlp mlp_;
-    std::vector<double> loss_accum_;      ///< per-GPU, current step
-    std::vector<std::size_t> examples_;   ///< per-GPU, current step
+    // Per-GPU, current step; each trainer adds to its own on every
+    // example, so each sits on its own cache line.
+    std::vector<CacheAligned<double>> loss_accum_;
+    std::vector<CacheAligned<std::size_t>> examples_;
     std::vector<double> losses_;
 };
 

@@ -66,8 +66,7 @@ Mlp::Reset()
 }
 
 float
-Mlp::ForwardInternal(const float *x,
-                     std::vector<std::vector<float>> &acts) const
+Mlp::ForwardInternal(const float *x, Activations &acts) const
 {
     acts[0].assign(x, x + input_dim());
     for (std::size_t l = 0; l < shapes_.size(); ++l) {
@@ -92,7 +91,7 @@ Mlp::ForwardInternal(const float *x,
 float
 Mlp::Predict(const float *x) const
 {
-    std::vector<std::vector<float>> acts(shapes_.size() + 1);
+    Activations acts(shapes_.size() + 1);
     return Sigmoid(ForwardInternal(x, acts));
 }
 

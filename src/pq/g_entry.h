@@ -22,8 +22,9 @@
 #ifndef FRUGAL_PQ_G_ENTRY_H_
 #define FRUGAL_PQ_G_ENTRY_H_
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,7 +46,16 @@ struct WriteRecord
     std::chrono::steady_clock::time_point staged{};
 };
 
-/** Metadata for one parameter (§3.3). */
+/**
+ * Metadata for one parameter (§3.3).
+ *
+ * Steady-state bookkeeping allocates nothing. The W set lives in slots
+ * the entry keeps across flushes: a write copies its gradient row into
+ * the next recycled slot, a flush applies the slots in place and resets
+ * the count, and only a W set larger than any before grows the slots
+ * (DESIGN.md §12.1 bounds it). The R set is a FIFO that keeps its
+ * capacity the same way.
+ */
 class GEntry
 {
   public:
@@ -68,13 +78,22 @@ class GEntry
     std::pair<Priority, Priority>
     AddReadLocked(Step step) FRUGAL_REQUIRES(lock_)
     {
-        FRUGAL_CHECK_MSG(r_set_.empty() || r_set_.back() <= step,
+        FRUGAL_CHECK_MSG(!hasReadsLocked() || r_steps_.back() <= step,
                          "reads must be registered in step order");
-        if (!r_set_.empty() && r_set_.back() == step)
+        if (hasReadsLocked() && r_steps_.back() == step)
             return {priority_, priority_};  // dedupe within a step
-        // alloc-ok: deque grows in blocks; steady-state registration
-        // reuses freed blocks, so growth amortizes across the run.
-        r_set_.push_back(step);
+        if (r_steps_.size() == r_steps_.capacity() &&
+            2 * r_head_ >= r_steps_.size()) {
+            // Full, and at least half of it consumed: slide the live
+            // steps down instead of growing.
+            r_steps_.erase(r_steps_.begin(),
+                           r_steps_.begin() +
+                               static_cast<std::ptrdiff_t>(r_head_));
+            r_head_ = 0;
+        }
+        // alloc-ok: grows only past the entry's peak live R set (the
+        // compaction above reuses a consumed prefix first).
+        r_steps_.push_back(step);
         return RecomputePriorityLocked();
     }
 
@@ -86,55 +105,109 @@ class GEntry
     std::pair<Priority, Priority>
     RemoveReadLocked(Step step) FRUGAL_REQUIRES(lock_)
     {
-        if (!r_set_.empty() && r_set_.front() == step) {
-            r_set_.pop_front();
+        if (hasReadsLocked() && r_steps_[r_head_] == step) {
+            ++r_head_;
         } else {
-            for (auto it = r_set_.begin(); it != r_set_.end(); ++it) {
-                if (*it == step) {
-                    r_set_.erase(it);
-                    break;
-                }
-            }
+            const auto live =
+                r_steps_.begin() + static_cast<std::ptrdiff_t>(r_head_);
+            const auto it = std::find(live, r_steps_.end(), step);
+            if (it != r_steps_.end())
+                r_steps_.erase(it);
+        }
+        if (r_head_ == r_steps_.size()) {
+            r_steps_.clear();  // keeps the capacity
+            r_head_ = 0;
         }
         return RecomputePriorityLocked();
     }
 
-    /** Appends a pending update to the W set. */
+    /**
+     * Appends a pending update to the W set: copies the `dim`-float row
+     * at `grad` into the next recycled slot.
+     */
     std::pair<Priority, Priority>
-    AddWriteLocked(WriteRecord record) FRUGAL_REQUIRES(lock_)
+    AddWriteLocked(Step step, GpuId src, const float *grad, std::size_t dim,
+                   std::chrono::steady_clock::time_point staged)
+        FRUGAL_REQUIRES(lock_)
     {
-        // alloc-ok: moves the record in (no grad copy); vector doubling
-        // amortizes, bounded by the per-entry W set between flushes.
-        w_set_.push_back(std::move(record));
+        // alloc-ok: slot growth past the peak W set (DESIGN.md §12.1).
+        if (w_count_ == w_slots_.size())
+            w_slots_.emplace_back();
+        w_slots_[w_count_].grad.resize(dim);
+        WriteRecord &slot = w_slots_[w_count_++];
+        slot.step = step;
+        slot.src = src;
+        std::copy_n(grad, dim, slot.grad.data());
+        slot.staged = staged;
+        return RecomputePriorityLocked();
+    }
+
+    /** Appends a copy of `record` to the W set. */
+    std::pair<Priority, Priority>
+    AddWriteLocked(const WriteRecord &record) FRUGAL_REQUIRES(lock_)
+    {
+        return AddWriteLocked(record.step, record.src, record.grad.data(),
+                              record.grad.size(), record.staged);
+    }
+
+    /** The pending writes, in arrival order; flushes sort and apply them
+     *  in place, then ClearWritesLocked. */
+    std::span<WriteRecord>
+    writesLocked() FRUGAL_REQUIRES(lock_)
+    {
+        return {w_slots_.data(), w_count_};
+    }
+
+    /** Empties the W set — the slots stay for the next writes — and
+     *  recomputes the priority. */
+    std::pair<Priority, Priority>
+    ClearWritesLocked() FRUGAL_REQUIRES(lock_)
+    {
+        w_count_ = 0;
         return RecomputePriorityLocked();
     }
 
     /**
-     * Takes the whole W set for flushing (leaves it empty) and recomputes
-     * the priority. Used by flush threads after claiming the entry.
+     * Takes a copy of the W set in arrival order and empties it. For
+     * callers that apply elsewhere (TakeClaimedWrites); flushes apply the
+     * slots in place instead.
      */
     std::vector<WriteRecord>
     TakeWritesLocked() FRUGAL_REQUIRES(lock_)
     {
-        std::vector<WriteRecord> taken;
-        taken.swap(w_set_);
-        RecomputePriorityLocked();
+        const std::span<WriteRecord> pending = writesLocked();
+        std::vector<WriteRecord> taken(pending.begin(), pending.end());
+        ClearWritesLocked();
         return taken;
+    }
+
+    /** Slots kept for the W set, pending or recycled (tests). */
+    std::size_t writeSlotsLocked() const FRUGAL_REQUIRES(lock_)
+    {
+        return w_slots_.size();
     }
 
     /** Current priority (Equation (1)); read under the entry lock. */
     Priority priorityLocked() const FRUGAL_REQUIRES(lock_) { return priority_; }
 
-    bool hasWritesLocked() const FRUGAL_REQUIRES(lock_) { return !w_set_.empty(); }
-    bool hasReadsLocked() const FRUGAL_REQUIRES(lock_) { return !r_set_.empty(); }
-    std::size_t writeCountLocked() const FRUGAL_REQUIRES(lock_) { return w_set_.size(); }
-    std::size_t readCountLocked() const FRUGAL_REQUIRES(lock_) { return r_set_.size(); }
+    bool hasWritesLocked() const FRUGAL_REQUIRES(lock_) { return w_count_ != 0; }
+    bool
+    hasReadsLocked() const FRUGAL_REQUIRES(lock_)
+    {
+        return r_head_ != r_steps_.size();
+    }
+    std::size_t writeCountLocked() const FRUGAL_REQUIRES(lock_) { return w_count_; }
+    std::size_t
+    readCountLocked() const FRUGAL_REQUIRES(lock_)
+    {
+        return r_steps_.size() - r_head_;
+    }
 
     /** Earliest pending read, or kInfiniteStep. */
     Step
     nextReadLocked() const FRUGAL_REQUIRES(lock_)
     {
-        return r_set_.empty() ? kInfiniteStep : r_set_.front();
+        return hasReadsLocked() ? r_steps_[r_head_] : kInfiniteStep;
     }
 
     /** Whether the entry is currently enqueued in a FlushQueue. */
@@ -147,17 +220,19 @@ class GEntry
     RecomputePriorityLocked() FRUGAL_REQUIRES(lock_)
     {
         const Priority old = priority_;
-        if (w_set_.empty() || r_set_.empty())
-            priority_ = kInfiniteStep;
-        else
-            priority_ = r_set_.front();
+        priority_ = hasWritesLocked() ? nextReadLocked() : kInfiniteStep;
         return {old, priority_};
     }
 
     const Key key_;
     Spinlock lock_{LockRank::kGEntry};
-    std::deque<Step> r_set_ FRUGAL_GUARDED_BY(lock_);
-    std::vector<WriteRecord> w_set_ FRUGAL_GUARDED_BY(lock_);
+    /** The R set, ascending: the live steps are [r_head_, size()); the
+     *  consumed prefix is reused by the next compaction. */
+    std::vector<Step> r_steps_ FRUGAL_GUARDED_BY(lock_);
+    std::size_t r_head_ FRUGAL_GUARDED_BY(lock_) = 0;
+    /** The W set is w_slots_[0, w_count_); later slots are recycled. */
+    std::vector<WriteRecord> w_slots_ FRUGAL_GUARDED_BY(lock_);
+    std::size_t w_count_ FRUGAL_GUARDED_BY(lock_) = 0;
     Priority priority_ FRUGAL_GUARDED_BY(lock_) = kInfiniteStep;
     bool enqueued_ FRUGAL_GUARDED_BY(lock_) = false;
 };

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <semaphore>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -290,6 +291,9 @@ struct RunContext
 #endif
 };
 
+struct LagSampler;
+class FlushTier;
+
 /**
  * Everything one trace GPU produced in one step: the step's
  * deduplicated key list plus one contiguous gradient buffer. Each trace
@@ -318,13 +322,15 @@ struct UpdateBatch
  * n_gpus fixed key-hash parts claimed through a PartClaimer, so an awake
  * trainer takes every part a peer still waking from the barrier has not
  * reached. Registering only after the barrier keeps R-set removal safe
- * (§5 gap 2): every trainer has left step s by then.
+ * (§5 gap 2): every trainer has left step s by then. An entry the next
+ * step reads is flushed as it is registered, through the flush tier's
+ * callbacks (§9).
  */
 class StepRegistration
 {
   public:
-    explicit StepRegistration(RunContext &ctx)
-        : ctx_(ctx), slots_(ctx.n_gpus), parts_(ctx.n_gpus)
+    StepRegistration(RunContext &ctx, FlushTier &flush)
+        : ctx_(ctx), flush_(flush), slots_(ctx.n_gpus), parts_(ctx.n_gpus)
     {
     }
 
@@ -352,13 +358,14 @@ class StepRegistration
      * Claims and registers parts of step `s` until none is left. The
      * thread that finishes the last part publishes the step
      * (drained_steps), which satisfies gate condition (b) for s + 1.
+     * `lag` (nullable) samples the flush lag of the entries it flushes.
      */
     void
-    RegisterStep(Step s)
+    RegisterStep(Step s, LagSampler *lag)
     {
         for (std::uint32_t part = parts_.Claim(); part < ctx_.n_gpus;
              part = parts_.Claim()) {
-            RegisterPart(s, part);
+            RegisterPart(s, part, lag);
             if (!parts_.Finish())
                 continue;
             // Last part: read the slots' sizes before publishing, since
@@ -430,74 +437,17 @@ class StepRegistration
      * With n_gpus dividing the registry's 64 shards, a part also covers
      * whole registry shards, so concurrent parts never contend on a shard
      * lock.
+     *
+     * Each key's run of records is registered under one entry-lock hold
+     * (RegisterUpdates). An entry that step s + 1 reads is due: it is
+     * flushed right there rather than enqueued for a claim the very next
+     * gate would wait on. Without the gate (the async ablation) nothing
+     * is flushed here, so that mode keeps its stale reads.
      */
-    void
-    RegisterPart(Step s, std::uint32_t part)
-    {
-        /** Row reference used to order the part's records. */
-        struct RowRef
-        {
-            Key key;
-            GpuId src;
-            std::uint32_t row;
-        };
-        // Per-thread scratch: the capacity persists across steps, so the
-        // steady state allocates nothing but the W records.
-        thread_local std::vector<RowRef> order;
-        thread_local std::vector<Key> unique_keys;
-        thread_local std::vector<GEntry *> entries;
-        const std::uint32_t n_gpus = ctx_.n_gpus;
-        const std::size_t dim = ctx_.config.dim;
-        order.clear();
-        for (std::uint32_t g = 0; g < n_gpus; ++g) {
-            FRUGAL_DCHECK(slots_[g].step == s);
-            const std::vector<Key> &keys = *slots_[g].keys;
-            for (std::uint32_t r = 0; r < keys.size(); ++r) {
-                if (MixHash64(keys[r]) % n_gpus != part)
-                    continue;
-                // alloc-ok: thread_local scratch; capacity amortizes
-                // across steps.
-                order.push_back(RowRef{keys[r], static_cast<GpuId>(g), r});
-            }
-        }
-        std::sort(order.begin(), order.end(),
-                  [](const RowRef &a, const RowRef &b) {
-                      return a.key != b.key ? a.key < b.key : a.src < b.src;
-                  });
-        // Consecutive refs with equal keys hit the same g-entry; resolve
-        // the part's sorted, unique key list in one batched registry call
-        // — one shard lock per same-shard run instead of one per key.
-        unique_keys.clear();
-        for (const RowRef &ref : order) {
-            if (unique_keys.empty() || ref.key != unique_keys.back())
-                // alloc-ok: thread_local scratch (see above).
-                unique_keys.push_back(ref.key);
-        }
-        // alloc-ok: thread_local scratch (see above).
-        entries.resize(unique_keys.size());
-        // alloc-ok: g-entries are created once per key (arena growth);
-        // the call's grouping scratch is thread_local.
-        ctx_.registry.GetOrCreateBatch(unique_keys, entries.data());
-        // One stamp for the part's records: flush lag is measured from
-        // here.
-        const auto staged_at = std::chrono::steady_clock::now();
-        std::size_t run = 0;
-        for (const RowRef &ref : order) {
-            if (ref.key != unique_keys[run])
-                ++run;  // order and unique_keys sort identically
-            const float *grad = slots_[ref.src].grads.data() +
-                                static_cast<std::size_t>(ref.row) * dim;
-            // alloc-ok: the W record owns a copy of its gradient row (the
-            // slot is refilled next step) and the W set grows by one
-            // record; both are freed or reused when the entry flushes.
-            RegisterUpdate(ctx_.queue, *entries[run],
-                           WriteRecord{s, ref.src,
-                                       std::vector<float>(grad, grad + dim),
-                                       staged_at});
-        }
-    }
+    void RegisterPart(Step s, std::uint32_t part, LagSampler *lag);
 
     RunContext &ctx_;
+    FlushTier &flush_;
     std::vector<UpdateBatch> slots_;
     PartClaimer parts_;
     std::atomic<std::size_t> pending_batches_{0};
@@ -602,19 +552,18 @@ class FlushTier
     }
 
     /**
-     * Applies one claim batch. This is the only flush routine: the flush
-     * threads, a gate-blocked trainer (cooperative flushing) and the
-     * control loop's reclaim of a dead flush thread's claims all call it.
+     * Applies one claim batch: the flush threads, a gate-blocked trainer
+     * (cooperative flushing) and the control loop's reclaim of a dead
+     * flush thread's claims all call it.
      *
      * The batch is sorted by key, after the auditor saw it in dequeue
      * (priority) order, so tickets for the same entry form one contiguous
      * run. Each run is flushed once through FlushEntry (pq_ops.h): one
-     * entry-lock hold, one batched ApplyGradients row-lock hold and one
-     * owner-cache refresh. Then every ticket of the run is retired and the
-     * applied count published. A second ticket for the same entry finds
-     * the W set already taken and only retires its claim. The optimizer
-     * applications are the per-record ones, in canonical order, so the
-     * trained table is bit-identical whoever applies.
+     * entry-lock hold around the one flush body, with ApplyWrites and
+     * RefreshCache as its callbacks. Then every ticket of the run is
+     * retired and the applied count published. A second ticket for the
+     * same entry finds the W set already applied and only retires its
+     * claim.
      *
      * `owner` is the applying flush thread's slot, or nullptr for a
      * trainer or the control loop: its injected death may abandon the
@@ -637,43 +586,11 @@ class FlushTier
                 ++j;
             if (owner != nullptr && Dies(*owner))
                 return false;
-            if (auto delay_us = FaultPoint(ctx_.injector,
-                                           FaultSite::kFlushDelay,
-                                           batch[i].entry->key())) {
-                // Fault injection: a slow host-memory path, per ticket.
-                // retry-exempt: injected delay.
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(*delay_us) * (j - i));
-            }
-            Histogram *const lag_hist =
-                lag != nullptr ? lag->Next() : nullptr;
+            const std::size_t tickets = j - i;
             const std::size_t applied = FlushEntry(
                 ctx_.queue, *batch[i].entry,
-                [&](Key key, const std::vector<WriteRecord> &writes) {
-                    // The per-record transient-fault sequence runs first;
-                    // only the row writes themselves are batched after
-                    // it.
-                    // spin-block-ok: deliberate — the retry backoff
-                    // sleeps under the g-entry lock so a write storm
-                    // delays only this key (see AwaitHostWrite);
-                    // contention on one entry's lock is rare.
-                    for (std::size_t r = 0; r < writes.size(); ++r)
-                        // spin-block-ok: see rationale above the loop.
-                        AwaitHostWrite(key);
-                    thread_local std::vector<const float *> grad_ptrs;
-                    grad_ptrs.clear();
-                    for (const WriteRecord &record : writes)
-                        // alloc-ok: thread_local scratch; capacity
-                        // amortizes across entry runs (clear() keeps
-                        // it), so growth is one-time.
-                        grad_ptrs.push_back(record.grad.data());
-                    ctx_.table.ApplyGradients(key, grad_ptrs.data(),
-                                              writes.size(), ctx_.optimizer);
-                    if (lag_hist != nullptr) {
-                        lag_hist->Add(
-                            Seconds(writes.front().staged,
-                                    std::chrono::steady_clock::now()));
-                    }
+                [&](Key key, std::span<const WriteRecord> writes) {
+                    ApplyWrites(key, writes, tickets, lag);
                 },
                 [this](Key key) { RefreshCache(key); });
             for (std::size_t k = i; k < j; ++k)
@@ -694,6 +611,79 @@ class FlushTier
             i = j;
         }
         return true;
+    }
+
+    /**
+     * The engine's apply step of the one flush body (FlushEntryLocked),
+     * run under the entry lock for a claim run and for an entry flushed
+     * at registration alike: the per-record transient-fault sequence, the
+     * injected kFlushDelay (µs per claim ticket the flush retires; a
+     * flush at registration counts as one), one batched ApplyGradients
+     * in the canonical order of `writes`, and a flush-lag sample into
+     * `lag` (nullable).
+     */
+    void
+    ApplyWrites(Key key, std::span<const WriteRecord> writes,
+                std::size_t tickets, LagSampler *lag)
+    {
+        // spin-block-ok: deliberate — the retry backoff sleeps under the
+        // g-entry lock so a write storm delays only this key (see
+        // AwaitHostWrite); contention on one entry's lock is rare.
+        for (std::size_t r = 0; r < writes.size(); ++r)
+            // spin-block-ok: see rationale above the loop.
+            AwaitHostWrite(key);
+        if (auto delay_us =
+                FaultPoint(ctx_.injector, FaultSite::kFlushDelay, key)) {
+            // spin-block-ok: a slow host-memory path holds the entry
+            // lock as long as the apply it slows down.
+            // retry-exempt: injected delay.
+            std::this_thread::sleep_for(std::chrono::microseconds(*delay_us) *
+                                        tickets);
+        }
+        thread_local std::vector<const float *> grad_ptrs;
+        grad_ptrs.clear();
+        for (const WriteRecord &record : writes)
+            // alloc-ok: thread_local scratch; capacity amortizes across
+            // flushes (clear() keeps it), so growth is one-time.
+            grad_ptrs.push_back(record.grad.data());
+        ctx_.table.ApplyGradients(key, grad_ptrs.data(), writes.size(),
+                                  ctx_.optimizer);
+        if (Histogram *hist = lag != nullptr ? lag->Next() : nullptr) {
+            hist->Add(Seconds(writes.front().staged,
+                              std::chrono::steady_clock::now()));
+        }
+    }
+
+    /** The post hook of the one flush body. */
+    void
+    RefreshCache(Key key)
+    {
+        // "H2D": copy the committed row into the owner's cache. Also runs
+        // on the control thread when reclaiming abandoned claims, hence
+        // the thread-local row buffer.
+        thread_local std::vector<float> row;
+        // alloc-ok: thread_local scratch; after the first call on each
+        // thread this resize never reallocates (dim is run-constant).
+        row.resize(ctx_.config.dim);
+        const GpuId owner = ctx_.ownership.OwnerOf(key);
+        ctx_.table.ReadRow(key, row.data());
+        // Flush-side warm: the caller holds the g-entry lock and this row
+        // is the freshly committed host value — if the key will be read
+        // again inside the lookahead window, cache it even when it was
+        // not resident (WarmOne update-or-cold-inserts). That turns the
+        // mandatory coherence write into a free prefetch for keys the
+        // prefetcher's batch warm skipped (they had pending writes then).
+        // Fully shed with warming under memory pressure.
+        if (ctx_.degradation.Warming()) {
+            const Step now = ctx_.gate.current();
+            const Step reuse = ctx_.next_use.NextUseAfter(key, now);
+            if (reuse != NextUseIndex::kNever &&
+                reuse <= now + ctx_.degradation.Lookahead()) {
+                ctx_.caches[owner]->WarmOne(key, row.data(), reuse);
+                return;
+            }
+        }
+        ctx_.caches[owner]->UpdateIfPresent(key, row.data());
     }
 
     /** Reclaims every dead slot's abandoned claims and respawns its
@@ -956,40 +946,79 @@ class FlushTier
                                 "failure, not transient)");
     }
 
-    void
-    RefreshCache(Key key)
-    {
-        // "H2D": copy the committed row into the owner's cache. Also runs
-        // on the control thread when reclaiming abandoned claims, hence
-        // the thread-local row buffer.
-        thread_local std::vector<float> row;
-        // alloc-ok: thread_local scratch; after the first call on each
-        // thread this resize never reallocates (dim is run-constant).
-        row.resize(ctx_.config.dim);
-        const GpuId owner = ctx_.ownership.OwnerOf(key);
-        ctx_.table.ReadRow(key, row.data());
-        // Flush-side warm: the caller holds the g-entry lock and this row
-        // is the freshly committed host value — if the key will be read
-        // again inside the lookahead window, cache it even when it was
-        // not resident (WarmOne update-or-cold-inserts). That turns the
-        // mandatory coherence write into a free prefetch for keys the
-        // prefetcher's batch warm skipped (they had pending writes then).
-        // Fully shed with warming under memory pressure.
-        if (ctx_.degradation.Warming()) {
-            const Step now = ctx_.gate.current();
-            const Step reuse = ctx_.next_use.NextUseAfter(key, now);
-            if (reuse != NextUseIndex::kNever &&
-                reuse <= now + ctx_.degradation.Lookahead()) {
-                ctx_.caches[owner]->WarmOne(key, row.data(), reuse);
-                return;
-            }
-        }
-        ctx_.caches[owner]->UpdateIfPresent(key, row.data());
-    }
-
     RunContext &ctx_;
     std::vector<std::unique_ptr<FlusherSlot>> slots_;
 };
+
+void
+StepRegistration::RegisterPart(Step s, std::uint32_t part, LagSampler *lag)
+{
+    // Per-thread scratch: the capacity persists across steps, so the
+    // steady state allocates nothing.
+    thread_local std::vector<UpdateRow> rows;
+    thread_local std::vector<Key> unique_keys;
+    thread_local std::vector<GEntry *> entries;
+    const std::uint32_t n_gpus = ctx_.n_gpus;
+    const std::size_t dim = ctx_.config.dim;
+    rows.clear();
+    for (std::uint32_t g = 0; g < n_gpus; ++g) {
+        FRUGAL_DCHECK(slots_[g].step == s);
+        const std::vector<Key> &keys = *slots_[g].keys;
+        const float *grads = slots_[g].grads.data();
+        for (std::size_t r = 0; r < keys.size(); ++r) {
+            if (MixHash64(keys[r]) % n_gpus != part)
+                continue;
+            // alloc-ok: thread_local scratch; capacity amortizes
+            // across steps.
+            rows.push_back(UpdateRow{keys[r], static_cast<GpuId>(g),
+                                     grads + r * dim});
+        }
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const UpdateRow &a, const UpdateRow &b) {
+                  return a.key != b.key ? a.key < b.key : a.src < b.src;
+              });
+    // Consecutive rows with equal keys hit the same g-entry; resolve
+    // the part's sorted, unique key list in one batched registry call
+    // — one shard lock per same-shard run instead of one per key.
+    unique_keys.clear();
+    for (const UpdateRow &row : rows) {
+        if (unique_keys.empty() || row.key != unique_keys.back())
+            // alloc-ok: thread_local scratch (see above).
+            unique_keys.push_back(row.key);
+    }
+    // alloc-ok: thread_local scratch (see above).
+    entries.resize(unique_keys.size());
+    // alloc-ok: g-entries are created once per key (arena growth);
+    // the call's grouping scratch is thread_local.
+    ctx_.registry.GetOrCreateBatch(unique_keys, entries.data());
+    // One stamp for the part's records: flush lag is measured from
+    // here.
+    const auto staged_at = std::chrono::steady_clock::now();
+    const bool flush_due = !ctx_.config.disable_gate_unsafe;
+    std::size_t applied = 0;
+    std::size_t begin = 0;
+    for (GEntry *entry : entries) {
+        std::size_t end = begin + 1;
+        while (end < rows.size() && rows[end].key == rows[begin].key)
+            ++end;
+        applied += RegisterUpdates(
+            ctx_.queue, *entry, s,
+            std::span<const UpdateRow>(rows.data() + begin, end - begin),
+            dim, staged_at, flush_due,
+            [&](Key key, std::span<const WriteRecord> writes) {
+                flush_.ApplyWrites(key, writes, 1, lag);
+            },
+            [this](Key key) { flush_.RefreshCache(key); });
+        begin = end;
+    }
+    if (applied > 0) {
+        // release: as in FlushTier::ApplyClaims — pairs with the
+        // checkpoint barrier's acquire load.
+        ctx_.counters.updates_applied.fetch_add(
+            applied, std::memory_order_release);
+    }
+}
 
 /**
  * The step-barrier completion, run single-threaded while every live
@@ -1074,7 +1103,7 @@ class StepBoundary
     Checkpoint(Step s)
     {
         const auto pause_start = std::chrono::steady_clock::now();
-        registration_.RegisterStep(s);
+        registration_.RegisterStep(s, nullptr);
         RunCounters &counters = ctx_.counters;
         auto quiescent = [&] {
             return ctx_.gate.drained() >= s + 1 &&
@@ -1420,7 +1449,7 @@ class alignas(kCacheLineSize) Trainer
             // killed at this boundary claims nothing; the survivors take
             // its share (parts are keyed by hash, not by trainer).
             if (!boundary_.Dead(id_))
-                registration_.RegisterStep(s);
+                registration_.RegisterStep(s, &lag_);
         }
     }
 
@@ -1615,7 +1644,8 @@ class alignas(kCacheLineSize) Trainer
     TrainerLocalStats local_;
     double stall_seconds_ = 0.0;
     StatAccumulator stall_stats_;
-    /** Flush lag of cooperative-flush applies; merged after the joins. */
+    /** Flush lag of cooperative-flush applies and of entries flushed at
+     *  registration; merged after the joins. */
     LagSampler lag_;
 };
 
@@ -1879,8 +1909,8 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
         "trainer-death fault plans require at least 2 GPUs");
 
     RunContext ctx(config_, trace, *table_, *optimizer_, ownership_);
-    StepRegistration registration(ctx);
     FlushTier flush(ctx);
+    StepRegistration registration(ctx, flush);
     StepBoundary boundary(ctx, registration, step_hook, first_step_);
     Prefetcher prefetcher(ctx, boundary);
     StepBarrier barrier(static_cast<std::ptrdiff_t>(n_gpus),

@@ -13,7 +13,8 @@
  *    trace GPU's batch slot. Right after the step barrier the trainers
  *    register the step into the g-entries/W sets and adjust PQ
  *    priorities (StepRegistration), splitting the work into fixed
- *    key-hash parts that any awake trainer claims. Registering only
+ *    key-hash parts that any awake trainer claims; an entry the next
+ *    step reads is flushed right there instead of enqueued. Registering only
  *    after the barrier matters: removing step s from an R set while
  *    another GPU is still executing step s would let a flush expose a
  *    post-step value mid-step (a race the paper's proof implicitly
@@ -29,11 +30,12 @@
  *    reports stalls, and applies the memory-pressure reactions when a
  *    budget is set.
  *
- * There is one flush path. A claim batch — taken by a flush thread, by a
- * gate-blocked trainer claiming the entries blocking its own gate
- * (cooperative flushing), or by the control loop reclaiming a dead flush
- * thread's claims — is sorted by key and each same-entry run is flushed
- * once through FlushEntry (pq/pq_ops.h).
+ * There is one flush body, FlushEntryLocked (pq/pq_ops.h). A claim batch
+ * — taken by a flush thread, by a gate-blocked trainer claiming the
+ * entries blocking its own gate (cooperative flushing), or by the control
+ * loop reclaiming a dead flush thread's claims — is sorted by key and
+ * each same-entry run is flushed once through it; step registration runs
+ * it for the entries the next step reads.
  */
 #ifndef FRUGAL_RUNTIME_FRUGAL_ENGINE_H_
 #define FRUGAL_RUNTIME_FRUGAL_ENGINE_H_

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -40,6 +41,22 @@ BaseConfig()
     config.audit_consistency = true;
     config.control_poll_ms = 1;  // recover fast at test scale
     return config;
+}
+
+/**
+ * A step hook that holds one early step boundary for 50 control polls.
+ * A short fault-free run can end before the control thread's first tick
+ * on a loaded host; the hold makes a mid-run tick certain, so tests can
+ * require `watchdog_polls > 0`.
+ */
+StepHook
+HoldOneBoundary(const EngineConfig &config)
+{
+    const auto hold = std::chrono::milliseconds(50 * config.control_poll_ms);
+    return [hold](Step s) {
+        if (s == 5)
+            std::this_thread::sleep_for(hold);
+    };
 }
 
 void
@@ -510,7 +527,8 @@ TEST(FaultToleranceTest, HealthyRunNoFalseRecoveries)
     const Trace trace = Trace::Synthetic(dist, rng, 50, 2, 16);
     FrugalEngine engine(config);
     const GradFn task = MakeLinearGradTask();
-    const RunReport report = engine.Run(trace, task);
+    const RunReport report =
+        engine.Run(trace, task, HoldOneBoundary(config));
 
     EXPECT_EQ(report.recovery.faults_injected, 0u);
     EXPECT_EQ(report.recovery.write_retries, 0u);
@@ -542,7 +560,8 @@ TEST(FaultToleranceTest, SparseShardsNoFalseStall)
     const Trace trace = Trace::Synthetic(dist, rng, 120, 2, 8);
     FrugalEngine engine(config);
     const GradFn task = MakeLinearGradTask();
-    const RunReport report = engine.Run(trace, task);
+    const RunReport report =
+        engine.Run(trace, task, HoldOneBoundary(config));
 
     EXPECT_EQ(report.steps, 120u);
     EXPECT_EQ(report.recovery.stalls_detected, 0u);

@@ -22,13 +22,20 @@
  *    registration part is unregistered, and every part is registered
  *    exactly once (PartClaimer, the protocol FrugalEngine's trainers
  *    run right after the step barrier).
+ *  - due flush at registration: an entry the next step reads, flushed
+ *    in place by RegisterUpdates past a flush thread's pending claim,
+ *    applies every write once in (step, src) order before that step's
+ *    gate can open, and leaves the queue counts drained.
  *
- * The *_ReorderBugCaught test is the negative control: it runs the
+ * The *Caught tests are negative controls. *_ReorderBugCaught runs the
  * exact announce/publish protocol of AtomicSlotSet::Insert with the
  * PR 1 bug shape deliberately re-introduced (pointer published before
  * the counter announcement) and requires the explorer to find the
  * violating schedule. If the explorer ever loses the power to catch
- * that bug class, this test fails.
+ * that bug class, this test fails. *_RetireBeforeApplyCaught does the
+ * same for a flush that retires the standing enqueue before applying
+ * the writes, and *_ClaimedNotDoneGateCaught for a gate that opens on
+ * claimed rather than registered parts.
  *
  * These tests are meaningful only when the model_atomic shims are live
  * (FRUGAL_MODELCHECK builds — the `modelcheck` preset); elsewhere they
@@ -37,6 +44,8 @@
 #include <array>
 #include <cstdio>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -555,6 +564,199 @@ TEST(ModelCheckTwoLevelPQ, ZombieEnqueueKeepsGateClosedUntilApplied)
     ReportExploration("ZombieEnqueueKeepsGateClosedUntilApplied", result);
     EXPECT_TRUE(result.clean()) << result.first_violation;
     EXPECT_GE(result.distinct_schedules, kDistinctTarget);
+}
+
+// --------------------------------------------------------------------
+// Register-and-flush-due: step registration flushes an entry the next
+// step reads in place (RegisterUpdates) through the same locked body as
+// a claim (FlushEntryLocked), instead of enqueueing it.
+// --------------------------------------------------------------------
+
+/** Where a model flush retires the entry's standing enqueue. */
+enum class StandingRetire {
+    /** FlushEntryLocked's order: after the apply and the post hook. */
+    kAfterApply,
+    /** The bug shape: before the apply. */
+    kBeforeApply,
+};
+
+/** Per-run fixture: entry 0 holds a step-0 write that a flush thread has
+ *  claimed at ∞ (ticket held, not yet applied); step 1 is about to
+ *  register two more rows for it. */
+struct DueFlushState
+{
+    static constexpr Step kStep = 1;
+    static constexpr int kRecords = 3;
+
+    explicit DueFlushState(check::Explorer &ex) : pq(/*n_shards=*/2)
+    {
+        pq.SeedDeferred(0);
+        std::vector<ClaimTicket> claimed;
+        pq.queue.DequeueClaim(claimed, 1, /*shard_hint=*/0);
+        ex.Check(claimed.size() == 1, "seed: deferred entry claimed");
+        ticket = claimed.front();
+    }
+
+    GEntry &entry() { return pq.entry(0); }
+
+    /** The apply callback: records (step, src) in apply order. Runs
+     *  under the entry lock. */
+    void
+    Apply(std::span<const WriteRecord> writes)
+    {
+        for (const WriteRecord &record : writes) {
+            log.emplace_back(record.step, record.src);
+            applied.fetch_add(1);
+        }
+    }
+
+    /** The flush thread's body for its claim. */
+    std::size_t
+    FlushClaim(StandingRetire retire)
+    {
+        if (retire == StandingRetire::kAfterApply) {
+            return FlushClaimed(pq.queue, ticket,
+                                [this](Key, const WriteRecord &record) {
+                                    Apply({&record, 1});
+                                });
+        }
+        std::size_t n = 0;
+        {
+            SpinGuard guard(entry().lock());
+            if (entry().enqueuedLocked()) {
+                entry().setEnqueuedLocked(false);
+                pq.queue.Unenqueue(&entry(), entry().priorityLocked());
+            }
+            const std::span<WriteRecord> writes = entry().writesLocked();
+            SortCanonical(writes);
+            Apply(writes);
+            n = writes.size();
+            entry().ClearWritesLocked();
+        }
+        pq.queue.OnFlushed(ticket);
+        return n;
+    }
+
+    PQState pq;
+    ClaimTicket ticket;
+    /** Applied (step, src) pairs in apply order. */
+    std::vector<std::pair<Step, GpuId>> log;
+    model_atomic<int> applied{0};
+    /** drained_steps past kStep: step 1 fully registered. */
+    model_atomic<int> published{0};
+    /** The prefetch frontier past step 2: its R sets are in place. */
+    model_atomic<int> read_registered{0};
+    std::size_t registration_applied = 0;
+    std::size_t claim_applied = 0;
+};
+
+/** `past_claim` (nullable) counts the schedules in which registration
+ *  flushed the claimed write too. */
+check::Result
+ExploreDueFlush(StandingRetire retire, const check::Options &options,
+                std::uint64_t *past_claim)
+{
+    return check::Explore(options, [retire, past_claim](check::Explorer &ex) {
+        auto st = std::make_shared<DueFlushState>(ex);
+        ex.Thread([st] {
+            // A trainer registers step 1's two rows for the key, then
+            // publishes the step.
+            const UpdateRow rows[2] = {{0, 0, nullptr}, {0, 1, nullptr}};
+            st->registration_applied = RegisterUpdates(
+                st->pq.queue, st->entry(), DueFlushState::kStep, rows,
+                /*dim=*/0, {}, /*flush_due=*/true,
+                [st](Key, std::span<const WriteRecord> writes) {
+                    st->Apply(writes);
+                },
+                [](Key) {});
+            st->published.store(1);
+        });
+        ex.Thread([st] {
+            // The prefetcher registers step 2's read of the key.
+            RegisterRead(st->pq.queue, st->entry(), /*step=*/2);
+            st->read_registered.store(1);
+        });
+        ex.Thread([st, retire] { st->claim_applied = st->FlushClaim(retire); });
+        ex.Thread([st] {
+            // A trainer at the step-2 gate: every "open" observation
+            // requires all three writes in host memory.
+            for (int attempt = 0; attempt < 3; ++attempt) {
+                if (st->published.load() == 1 &&
+                    st->read_registered.load() == 1 &&
+                    !st->pq.queue.HasPendingAtOrBelow(2)) {
+                    check::ModelAssert(
+                        st->applied.load() == DueFlushState::kRecords,
+                        "step-2 gate opened before every write reached "
+                        "host memory");
+                }
+            }
+        });
+        ex.Go();
+        if (retire != StandingRetire::kAfterApply)
+            return;  // an aborted run may stop mid-flush
+
+        // Quiescent: drain what the run left queued, then every record
+        // was applied exactly once, in (step, src) order.
+        std::vector<ClaimTicket> rest;
+        st->pq.queue.DequeueClaim(rest, 4, 0);
+        for (const ClaimTicket &ticket : rest) {
+            FlushClaimed(st->pq.queue, ticket,
+                         [&st](Key, const WriteRecord &record) {
+                             st->Apply({&record, 1});
+                         });
+        }
+        const std::vector<std::pair<Step, GpuId>> canonical = {
+            {0, 0}, {1, 0}, {1, 1}};
+        ex.Check(st->log == canonical,
+                 "every write applied once, in (step, src) order");
+        if (st->registration_applied == DueFlushState::kRecords) {
+            ex.Check(st->claim_applied == 0,
+                     "a claim whose write the due flush took retires with "
+                     "0 records");
+            if (past_claim != nullptr)
+                ++*past_claim;
+        }
+        ex.Check(st->pq.queue.AuditInvariants(/*quiescent=*/true) == 0,
+                 "logical and in-flight counts drained to zero");
+        ex.Check(!st->pq.queue.HasPendingAtOrBelow(3),
+                 "gate clear at quiescence");
+        ex.Check(st->pq.queue.SizeApprox() == 0, "queue drained");
+        SpinGuard guard(st->entry().lock());
+        ex.Check(!st->entry().hasWritesLocked() &&
+                     !st->entry().enqueuedLocked(),
+                 "entry drained and dequeued");
+    });
+}
+
+TEST(ModelCheckDueFlush, RegistrationFlushesDueEntryPastAClaim)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    std::uint64_t past_claim = 0;
+    const check::Result result = ExploreDueFlush(
+        StandingRetire::kAfterApply, DefaultOptions(), &past_claim);
+    ReportExploration("DueFlush", result);
+    EXPECT_TRUE(result.clean()) << result.first_violation;
+    EXPECT_GE(result.distinct_schedules, kDistinctTarget);
+    // The scenario's point: some schedules flush the claimed write at
+    // registration.
+    EXPECT_GT(past_claim, 0u);
+}
+
+TEST(ModelCheckDueFlush, RetireBeforeApplyCaught)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    check::Options options = DefaultOptions();
+    options.stop_on_violation = true;
+    const check::Result result =
+        ExploreDueFlush(StandingRetire::kBeforeApply, options, nullptr);
+    ReportExploration("DueFlushRetireBeforeApplyCaught", result);
+    ASSERT_GT(result.violations, 0u)
+        << "the explorer failed to catch a flush that retires the "
+           "standing enqueue before the apply: "
+        << result.Summary();
+    EXPECT_NE(result.first_violation.find("before every write"),
+              std::string::npos)
+        << result.first_violation;
 }
 
 // --------------------------------------------------------------------

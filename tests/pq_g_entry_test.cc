@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "pq/g_entry_registry.h"
+#include "pq/pq_ops.h"
+#include "pq/two_level_pq.h"
 
 namespace frugal {
 namespace {
@@ -152,6 +154,83 @@ TEST(GEntryTest, TakeWritesEmptiesAndRecomputes)
         EXPECT_FALSE(e.hasWritesLocked());
         // W empty ⇒ priority back to ∞ even with reads pending.
         EXPECT_EQ(e.priorityLocked(), kInfiniteStep);
+        return 0;
+    });
+}
+
+TEST(GEntryTest, FlushCycleReusesWriteSlots)
+{
+    // The W set lives in slots the entry keeps across flushes: a second
+    // register/flush cycle reuses the same slot buffer and rows without
+    // growing them, and the copying take still reports arrival order.
+    TwoLevelPQ queue(TwoLevelPQConfig{/*max_step=*/16});
+    GEntry e(1);
+    const float row_a[2] = {1.0f, 2.0f};
+    const float row_b[2] = {3.0f, 4.0f};
+    RegisterRead(queue, e, 9);
+    RegisterUpdate(queue, e, 3, 0, row_a, 2, {});
+    RegisterUpdate(queue, e, 3, 1, row_b, 2, {});
+    const WriteRecord *slots = nullptr;
+    const float *first_row = nullptr;
+    std::size_t kept = 0;
+    WithLock(e, [&] {
+        slots = e.writesLocked().data();
+        first_row = e.writesLocked()[0].grad.data();
+        kept = e.writeSlotsLocked();
+        return 0;
+    });
+    std::size_t seen = 0;
+    EXPECT_EQ(FlushEntry(
+                  queue, e,
+                  [&](Key, std::span<const WriteRecord> writes) {
+                      seen = writes.size();
+                  },
+                  [](Key) {}),
+              2u);
+    EXPECT_EQ(seen, 2u);
+
+    RegisterUpdate(queue, e, 4, 1, row_b, 2, {});
+    RegisterUpdate(queue, e, 4, 0, row_a, 2, {});
+    WithLock(e, [&] {
+        EXPECT_EQ(e.writesLocked().data(), slots);
+        EXPECT_EQ(e.writeSlotsLocked(), kept);
+        EXPECT_EQ(e.writesLocked()[0].grad.data(), first_row);
+        const std::vector<WriteRecord> taken = e.TakeWritesLocked();
+        EXPECT_EQ(taken.size(), 2u);
+        if (taken.size() != 2)
+            return 0;
+        EXPECT_EQ(taken[0].step, 4u);
+        EXPECT_EQ(taken[0].src, 1u);  // arrival order, not canonical
+        EXPECT_EQ(taken[0].grad, std::vector<float>(row_b, row_b + 2));
+        EXPECT_EQ(taken[1].src, 0u);
+        EXPECT_EQ(taken[1].grad, std::vector<float>(row_a, row_a + 2));
+        EXPECT_FALSE(e.hasWritesLocked());
+        // The take copies out; the slots stay for the next writes.
+        EXPECT_EQ(e.writeSlotsLocked(), kept);
+        // Still enqueued from the second cycle: retire it by hand.
+        EXPECT_TRUE(e.enqueuedLocked());
+        e.setEnqueuedLocked(false);
+        queue.Unenqueue(&e, 9);
+        return 0;
+    });
+    EXPECT_EQ(queue.AuditInvariants(/*quiescent=*/true), 0u);
+}
+
+TEST(GEntryTest, ReadFifoReusesConsumedPrefix)
+{
+    // The R set keeps its capacity: reads consumed from the front make
+    // room for later ones without the steps ever moving out of order.
+    GEntry e(1);
+    WithLock(e, [&] {
+        for (Step s = 0; s < 64; ++s) {
+            e.AddReadLocked(s + 4);
+            e.RemoveReadLocked(s);  // absent for s < 4: a no-op
+            EXPECT_EQ(e.nextReadLocked(), s < 3 ? 4u : s + 1);
+        }
+        EXPECT_EQ(e.readCountLocked(), 4u);
+        e.RemoveReadLocked(66);  // from the middle
+        EXPECT_EQ(e.readCountLocked(), 3u);
+        EXPECT_EQ(e.nextReadLocked(), 64u);
         return 0;
     });
 }
