@@ -145,21 +145,13 @@ main(int argc, char **argv)
 
     // Fault-free oracle: the correctness yardstick for both runs.
     const EngineConfig base = BaseConfig(sizes);
-    EmbeddingTableConfig tc;
-    tc.key_space = base.key_space;
-    tc.dim = base.dim;
-    tc.init_seed = base.init_seed;
-    tc.init_scale = base.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto oracle_opt = MakeOptimizer(base.optimizer, base.learning_rate,
-                                    base.key_space, base.dim);
-    RunOracle(oracle_table, *oracle_opt, trace, task);
+    const auto oracle_table = TrainOracle(base, trace, task);
 
     // --- run 1: healthy baseline -----------------------------------
     auto healthy_engine = MakeEngine("frugal", BaseConfig(sizes));
     const RunReport healthy = healthy_engine->Run(trace, task);
     const bool healthy_equal =
-        TablesBitEqual(healthy_engine->table(), oracle_table);
+        TablesBitEqual(healthy_engine->table(), *oracle_table);
 
     // --- run 2: chaos campaign -------------------------------------
     const FaultPlan plan = ChaosPlan(sizes);
@@ -183,7 +175,7 @@ main(int argc, char **argv)
     auto chaos_engine = MakeEngine("frugal", chaos_config);
     const RunReport chaos = chaos_engine->Run(trace, task, squeeze);
     const bool chaos_equal =
-        TablesBitEqual(chaos_engine->table(), oracle_table);
+        TablesBitEqual(chaos_engine->table(), *oracle_table);
 
     // --- report ----------------------------------------------------
     const double healthy_sps = StepsPerSecond(healthy);

@@ -144,23 +144,14 @@ main(int argc, char **argv)
                                              gpus, sizes.keys_per_gpu);
 
         const EngineConfig base = BaseConfig(sizes, gpus, 1);
-        EmbeddingTableConfig tc;
-        tc.key_space = base.key_space;
-        tc.dim = base.dim;
-        tc.init_seed = base.init_seed;
-        tc.init_scale = base.init_scale;
-        HostEmbeddingTable oracle_table(tc);
-        auto oracle_opt =
-            MakeOptimizer(base.optimizer, base.learning_rate,
-                          base.key_space, base.dim);
-        RunOracle(oracle_table, *oracle_opt, trace, task);
+        const auto oracle_table = TrainOracle(base, trace, task);
 
         const std::string g = "g" + std::to_string(gpus);
         for (const std::size_t flushers : flusher_counts) {
             const EngineConfig config =
                 BaseConfig(sizes, gpus, flushers);
             const CellResult cell =
-                RunCell(config, trace, task, oracle_table);
+                RunCell(config, trace, task, *oracle_table);
             all_bit_equal = all_bit_equal && cell.bit_equal;
 
             const std::string f = "_f" + std::to_string(flushers);

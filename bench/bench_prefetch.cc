@@ -169,16 +169,7 @@ main(int argc, char **argv)
         base.flush_threads = sizes.flush_threads;
         base.host_gather_ns = sizes.host_gather_ns;
 
-        EmbeddingTableConfig tc;
-        tc.key_space = base.key_space;
-        tc.dim = base.dim;
-        tc.init_seed = base.init_seed;
-        tc.init_scale = base.init_scale;
-        HostEmbeddingTable oracle_table(tc);
-        auto oracle_opt =
-            MakeOptimizer(base.optimizer, base.learning_rate,
-                          base.key_space, base.dim);
-        RunOracle(oracle_table, *oracle_opt, trace, task);
+        const auto oracle_table = TrainOracle(base, trace, task);
 
         const std::string z =
             "z" + std::to_string(static_cast<int>(theta * 100));
@@ -206,7 +197,7 @@ main(int argc, char **argv)
                         config.cache_options.freq_admission = false;
                     }
                     const CellResult run =
-                        RunCell(config, trace, task, oracle_table);
+                        RunCell(config, trace, task, *oracle_table);
                     const std::size_t m = oracular ? 1 : 0;
                     ok[m] = ok[m] && run.bit_equal;
                     if (rep == 0 ||

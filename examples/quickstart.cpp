@@ -60,16 +60,8 @@ main()
 
     // 4. Verify against the oracle: identical trained parameters, bit
     //    for bit.
-    EmbeddingTableConfig table_config;
-    table_config.key_space = config.key_space;
-    table_config.dim = config.dim;
-    table_config.init_seed = config.init_seed;
-    table_config.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(table_config);
-    auto optimizer = MakeOptimizer(config.optimizer, config.learning_rate,
-                                   config.key_space, config.dim);
-    RunOracle(oracle_table, *optimizer, trace, task);
-    const bool equal = TablesBitEqual(engine.table(), oracle_table);
+    const auto oracle_table = TrainOracle(config, trace, task);
+    const bool equal = TablesBitEqual(engine.table(), *oracle_table);
     std::printf("  oracle equality  : %s\n",
                 equal ? "bit-exact" : "MISMATCH");
     return equal && report.audit_violations == 0 ? 0 : 1;

@@ -131,7 +131,7 @@ fi
 
 # --- 4c. end-to-end engine bench smoke + baseline diff -------------------
 # Same contract as 4b for bench_e2e_engine: a smoke run drives the *real*
-# engine (trainers, prefetcher, flush threads, the gate) across
+# engine (trainers, flush threads, the gate) across
 # the grid and exits non-zero if any cell trains a table that is not
 # bit-equal to the single-threaded oracle — that part is a hard gate.
 # The metric diff against the committed BENCH_e2e.json stays warn-only.

@@ -90,16 +90,21 @@ HOT_FUNCTIONS = (
     "FlushTier::ApplyWrites",
     "FlushTier::RefreshCache",
     # Step registration, run by the trainers after every step barrier
-    # (runtime/frugal_engine.cc)
+    # (runtime/frugal_engine.cc): a part's reads of the steps entering
+    # the lookahead window, then its writes; then each trainer's
+    # oracular warm of its own cache
     "StepRegistration::RegisterPart",
+    "StepRegistration::RegisterReads",
+    "Trainer::WarmAhead",
+    "Trainer::WarmStep",
     # Two-level PQ dequeue path
     "TwoLevelPQ::DrainBucket",
     # GPU cache operations on the trainer critical path
     "GpuCache::TryGet",
     "GpuCache::Put",
     "GpuCache::UpdateIfPresent",
-    # Oracular warm/evict paths: WarmBegin/WarmCommit run on the
-    # prefetcher per warmed batch, WarmOne on flush threads under the
+    # Oracular warm/evict paths: WarmBegin/WarmCommit run on a trainer
+    # per warmed batch, WarmOne on flush threads under the
     # g-entry lock, victim selection and the dead-key sweep per step.
     "GpuCache::WarmBegin",
     "GpuCache::WarmCommit",

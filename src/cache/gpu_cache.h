@@ -47,7 +47,7 @@
  *
  * Concurrency: the owning trainer reads and refills; Frugal's flush
  * threads write committed values into cached rows ("H2D" in the real
- * system); the prefetcher warms. A single cache lock arbitrates —
+ * system), and the owning trainer warms. A single cache lock arbitrates —
  * adequate because each cache has exactly one reader thread and writers
  * touch disjoint keys. The sketch lives under the same lock.
  *
@@ -233,8 +233,8 @@ class GpuCache
               GatherFn &&gather)
     {
         // alloc-ok: thread_local scratch amortises to zero steady-state
-        // allocations; the warm path runs on the prefetch thread, off
-        // the trainer critical path.
+        // allocations; the warm path runs on the owning trainer between
+        // its step registration and its next gate.
         thread_local std::vector<WarmPending> pending;
         thread_local std::vector<Key> fill_keys;
         thread_local std::vector<float> rows;

@@ -12,8 +12,8 @@
  *
  *  - HintRow(s, g): for the i-th key of (step s, GPU g) in trace order,
  *    the next step (> s) at which that key is read by *any* GPU, or
- *    kNever. Parallel to Trace::KeysFor(s, g), so trainers and the
- *    prefetcher attach next-use hints to cache operations in O(1).
+ *    kNever. Parallel to Trace::KeysFor(s, g), so trainers attach
+ *    next-use hints to cache operations in O(1).
  *  - DeadAfter(s): the keys whose final reader is step s — eligible for
  *    zero-cost cache reclamation once s completes.
  *  - NextUseAfter(k, s): the first step > s that reads k (kNever when

@@ -87,7 +87,7 @@ TablePrinter OverloadTable(const OverloadCounters &counters,
  */
 struct PrefetchCounters
 {
-    /** Rows inserted ahead of use by the warm paths (prefetcher batch
+    /** Rows inserted ahead of use by the warm paths (trainer batch
      *  warms + flush-side warms). */
     std::uint64_t rows_warmed = 0;
     /** Trainer lookups served by a warmed row on its first touch. */
@@ -95,7 +95,8 @@ struct PrefetchCounters
     /** Rows reclaimed because their last reader had passed. */
     std::uint64_t dead_evictions = 0;
     /** Warm attempts skipped because the target step had already been
-     *  reached — the prefetcher fell behind the trainers. */
+     *  reached, one per trainer and step: the lookahead window (shrunk
+     *  under memory pressure) no longer runs ahead of the trainers. */
     std::uint64_t late_warms = 0;
     /** Step boundaries where warming was shed by memory pressure. */
     std::uint64_t warms_shed = 0;

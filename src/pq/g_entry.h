@@ -4,7 +4,8 @@
  *
  * A g-entry tracks, for one embedding key:
  *  - the **R set**: future training steps that will read the parameter
- *    (populated by the controller's prefetch thread from the sample queue);
+ *    (populated from the sample queue by each step boundary's
+ *    registration, for the steps entering the lookahead window);
  *  - the **W set**: pending updates ⟨step, src GPU, Δ⟩ not yet flushed to
  *    host memory (populated by step registration after each barrier);
  *  - the **priority** from Equation (1):
@@ -71,7 +72,7 @@ class GEntry
 
     /**
      * Records that `step` will read this parameter. Steps must arrive in
-     * non-decreasing order (the prefetcher walks the sample queue forward).
+     * non-decreasing order (registration walks the sample queue forward).
      * @return the (old, new) priority pair; callers propagate a change to
      *         the FlushQueue via OnPriorityChange.
      */

@@ -3,8 +3,9 @@
  * Composite g-entry/queue operations — the three transitions of the P²F
  * algorithm (§3.3), shared by the controller threads and the tests:
  *
- *  - RegisterRead: the prefetch thread saw `key` in the sample queue for
- *    step s ⇒ insert s into the R set (and re-prioritise if enqueued).
+ *  - RegisterRead: a step boundary's registration saw `key` in the
+ *    sample queue for a step s entering the lookahead window ⇒ insert s
+ *    into the R set (and re-prioritise if enqueued).
  *  - RegisterUpdates: a trainer registers one key's ⟨key, s, Δ⟩ rows
  *    after step s's barrier ⇒ remove s from the R set, copy the rows into
  *    the W set's slots, then either flush the entry in place if step

@@ -28,7 +28,7 @@
  *    next read step of a parameter with pending writes, pending writes are
  *    produced at steps < their next read, and the P²F gate has already
  *    established that nothing readable at ≤ floor has pending writes.
- *  - None can live above `horizon`: reads beyond the prefetch horizon are
+ *  - None can live above `horizon`: reads beyond the lookahead window are
  *    not yet in any R set, so such entries still sit at ∞.
  *
  * Note on the paper's rule "update the lower bound to the last dequeued

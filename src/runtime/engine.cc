@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "runtime/baseline_engines.h"
 #include "runtime/frugal_engine.h"
+#include "runtime/oracle.h"
 #include "table/checkpoint.h"
 
 namespace frugal {
@@ -12,12 +13,7 @@ Engine::Engine(const EngineConfig &config)
 {
     FRUGAL_CHECK_MSG(config.n_gpus > 0, "need at least one GPU");
     FRUGAL_CHECK_MSG(config.key_space > 0, "empty key space");
-    EmbeddingTableConfig table_config;
-    table_config.key_space = config.key_space;
-    table_config.dim = config.dim;
-    table_config.init_seed = config.init_seed;
-    table_config.init_scale = config.init_scale;
-    table_ = std::make_unique<HostEmbeddingTable>(table_config);
+    table_ = std::make_unique<HostEmbeddingTable>(TableConfigFor(config));
     optimizer_ = MakeOptimizer(config.optimizer, config.learning_rate,
                                config.key_space, config.dim);
 }

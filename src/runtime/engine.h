@@ -59,26 +59,26 @@ struct EngineConfig
      *  legacy single-list LRU the §4.1 competitor engines model. */
     GpuCacheOptions cache_options;
 
-    /** Prefetch lookahead L (§3.2: default 10). */
+    /** Prefetch lookahead L (§3.2: default 10); ≥ 1. */
     std::size_t lookahead = 10;
 
     /**
-     * Oracular lookahead (FrugalEngine only; DESIGN.md §13): the
-     * prefetcher additionally *warms* each owner GPU's cache with the
-     * rows future steps will read (batch host gathers, cold-end
-     * inserts), eviction turns next-use-aware (Belady within the
-     * lookahead window), and keys whose last reader has passed are
-     * reclaimed at step boundaries. Warming only moves reads earlier —
+     * Oracular lookahead (FrugalEngine only; DESIGN.md §13): each
+     * trainer additionally *warms* its own GPU cache with the rows the
+     * steps entering the lookahead window will read (batch host
+     * gathers, cold-end inserts), eviction turns next-use-aware
+     * (Belady within the lookahead window), and keys whose last reader
+     * has passed are reclaimed at step boundaries. Warming only moves reads earlier —
      * trained parameters stay bit-identical to the sequential oracle.
      * Under memory pressure warming is the first mechanism shed
      * (before lookahead narrows, before caches shrink).
      */
     bool oracular_prefetch = true;
 
-    /** Background flushing threads (§4.1: default 8). */
+    /** Background flushing threads (§4.1: default 8); ≥ 1. */
     std::size_t flush_threads = 8;
 
-    /** Entries claimed per dequeue (batched dequeue, §3.4). */
+    /** Entries claimed per dequeue (batched dequeue, §3.4); ≥ 1. */
     std::size_t flush_batch = 8;
 
     /** Dequeue shards per PQ bucket (FrugalEngine only):
@@ -125,12 +125,12 @@ struct EngineConfig
      * host-memory gather over PCIe is latency-bound (~µs per
      * transaction) while a GPU-cache hit is an HBM access — an
      * asymmetry the functional engine's memcpy-for-memcpy reads erase.
-     * Trainer-side host reads pay this inline (amortized into sleep
-     * quanta so timer overshoot doesn't distort the model); the
-     * oracular prefetcher's warm gathers pay it as sleeps off the
-     * critical path, modeling DMA transfers that block the requesting
-     * kernel but burn no host CPU. Timing-only: trained parameters are
-     * unaffected. bench_prefetch sets this for its ablation grid.
+     * Demand host reads pay this inline (amortized into sleep quanta so
+     * timer overshoot doesn't distort the model). The oracular warm
+     * gathers pay nothing: they model asynchronous DMA issued a
+     * lookahead window before the step, as does the flush-side warm.
+     * Timing-only: trained parameters are unaffected. bench_prefetch
+     * sets this for its ablation grid.
      */
     int host_gather_ns = 0;
 

@@ -53,15 +53,15 @@ Seconds(std::chrono::steady_clock::time_point a,
 
 /**
  * The P²F gate (§3.3) and the step progress it reads. Trainer t runs
- * step s once (a) the prefetcher has registered s's R sets, (b) step
- * s - 1 is fully registered into the g-entries and (c) no update of a
- * step ≤ s is pending in the queue. Every progress change calls
- * Nudge(); every wait is timed, so a lost wakeup costs one slice.
+ * step s once (a) step s - 1 is fully registered into the g-entries,
+ * which put step s's reads in their R sets too, and (b) no update of a
+ * step ≤ s is pending in the queue. Every progress change calls Nudge();
+ * every wait is timed, so a lost wakeup costs one slice.
  */
 class StepGate
 {
   public:
-    /** `check_queue` false drops condition (c): the async ablation. */
+    /** `check_queue` false drops condition (b): the async ablation. */
     StepGate(const TwoLevelPQ &queue, bool check_queue)
         : queue_(queue), check_queue_(check_queue)
     {
@@ -70,7 +70,7 @@ class StepGate
     bool
     Open(Step s) const
     {
-        return frontier() > s && drained() >= s &&
+        return drained() >= s &&
                (!check_queue_ || !queue_.HasPendingAtOrBelow(s));
     }
 
@@ -78,11 +78,6 @@ class StepGate
     current() const
     {
         return current_step.load(std::memory_order_acquire);
-    }
-    Step
-    frontier() const
-    {
-        return prefetch_frontier.load(std::memory_order_acquire);
     }
     Step
     drained() const
@@ -115,8 +110,6 @@ class StepGate
 
     /** Steps every trainer finished; written by the barrier completion. */
     std::atomic<Step> current_step{0};
-    /** Steps with R sets in place; written by the prefetcher. */
-    std::atomic<Step> prefetch_frontier{0};
     /** Steps fully registered into the g-entries. */
     std::atomic<Step> drained_steps{0};
     /** Every trainer returned, so every step is registered. */
@@ -256,8 +249,7 @@ struct RunContext
         // the per-key next-use index once (one backward pass) and drive
         // cache warming, Belady-style eviction hints and dead-key
         // reclamation from it. All step values are trace-local indices —
-        // exactly the coordinates current_step and the prefetch frontier
-        // use.
+        // exactly the coordinates current_step and the read range use.
         if (oracular) {
             next_use = trace.BuildNextUseIndex();
             for (auto &cache : caches)
@@ -324,7 +316,8 @@ struct UpdateBatch
  * reached. Registering only after the barrier keeps R-set removal safe
  * (§5 gap 2): every trainer has left step s by then. An entry the next
  * step reads is flushed as it is registered, through the flush tier's
- * callbacks (§9).
+ * callbacks (§9). Each part first registers its keys' reads of the
+ * steps that just entered the lookahead window (the sample queue, §3.2).
  */
 class StepRegistration
 {
@@ -357,7 +350,7 @@ class StepRegistration
     /**
      * Claims and registers parts of step `s` until none is left. The
      * thread that finishes the last part publishes the step
-     * (drained_steps), which satisfies gate condition (b) for s + 1.
+     * (drained_steps), which satisfies gate condition (a) for s + 1.
      * `lag` (nullable) samples the flush lag of the entries it flushes.
      */
     void
@@ -399,6 +392,26 @@ class StepRegistration
     /** Opens the next step's round (barrier completion only). */
     void Reset() { parts_.Reset(); }
 
+    /** Sets the read range to the steps from the previous range's end
+     *  up to `end` (exclusive); empty when the window shrank. Only the
+     *  barrier completion and Run's setup call it, while no part is
+     *  being registered. */
+    void
+    AdvanceReads(Step end)
+    {
+        reads_begin_ = reads_end_;
+        reads_end_ = std::max(reads_end_, end);
+    }
+    Step reads_begin() const { return reads_begin_; }
+    Step reads_end() const { return reads_end_; }
+
+    /**
+     * Registers the reads of part `part` for every step of the read
+     * range, in step order, so each key's R set grows in step order.
+     * A key belongs to one part, as for the writes.
+     */
+    void RegisterReads(std::uint32_t part);
+
     /** Emitted-but-unregistered batches: the stall snapshot's staging
      *  depth. */
     std::size_t
@@ -423,16 +436,18 @@ class StepRegistration
             << parts_.claimed() << "/" << parts_.parts()
             << " part(s) claimed, " << parts_.done()
             << " done, registered through step " << ctx_.gate.drained()
-            << ", prefetch frontier " << ctx_.gate.frontier() << "\n";
+            << "\n";
     }
 
   private:
     /**
-     * Registers part `part` of step `s`: every record in the batch slots
-     * whose key hashes to the part, in (key, src) order, so a key's W
-     * records always *arrive* in canonical order — a flush may otherwise
-     * split one step's records for a key across two takes and apply them
-     * in registration order (§5 gap 4). A key belongs to exactly one part
+     * Registers part `part` of step `s`: first its reads of the read
+     * range (RegisterReads), so a step-s + 1 read is in the R set by the
+     * time the writes ask whether their entry is due; then every record
+     * in the batch slots whose key hashes to the part, in (key, src)
+     * order, so a key's W records always *arrive* in canonical order — a
+     * flush may otherwise split one step's records for a key across two
+     * takes and apply them in registration order (§5 gap 4). A key belongs to exactly one part
      * and one thread registers a part, so the order holds across parts.
      * With n_gpus dividing the registry's 64 shards, a part also covers
      * whole registry shards, so concurrent parts never contend on a shard
@@ -452,6 +467,8 @@ class StepRegistration
     PartClaimer parts_;
     std::atomic<std::size_t> pending_batches_{0};
     std::atomic<std::size_t> pending_bytes_{0};
+    Step reads_begin_ = 0;
+    Step reads_end_ = 0;
 };
 
 /**
@@ -672,7 +689,7 @@ class FlushTier
         // again inside the lookahead window, cache it even when it was
         // not resident (WarmOne update-or-cold-inserts). That turns the
         // mandatory coherence write into a free prefetch for keys the
-        // prefetcher's batch warm skipped (they had pending writes then).
+        // trainers' batch warm skipped (they had pending writes then).
         // Fully shed with warming under memory pressure.
         if (ctx_.degradation.Warming()) {
             const Step now = ctx_.gate.current();
@@ -827,13 +844,6 @@ class FlushTier
                                       std::chrono::microseconds(4000));
                 continue;
             }
-            // The scan floor relies on the gate's invariant that nothing
-            // below the current step is pending; without the gate (async
-            // ablation) stale priorities survive below it, so the floor
-            // must stay at zero.
-            const Step scan_floor =
-                ctx_.config.disable_gate_unsafe ? 0 : ctx_.gate.current();
-            queue.SetScanBounds(scan_floor, ctx_.gate.frontier());
             claimed.clear();
             slot->busy.store(true, std::memory_order_release);
             if (queue.DequeueClaim(claimed, ctx_.degradation.FlushBatch(),
@@ -862,8 +872,11 @@ class FlushTier
             empty_claims = 0;
             idle_sleep = std::chrono::microseconds{500};
 #if FRUGAL_DCHECK_ENABLED
+            // The gate admitted every step below the current one, and a
+            // held claim keeps its own step's gate closed, so no claim may
+            // carry a finite priority below the current step.
             if (ctx_.auditor_armed)
-                ctx_.auditor.OnClaimBatch(claimed, scan_floor);
+                ctx_.auditor.OnClaimBatch(claimed, ctx_.gate.current());
 #endif
             // relaxed: monotonic stat counter, read after joins.
             ctx_.counters.entry_claims.fetch_add(claimed.size(),
@@ -951,8 +964,37 @@ class FlushTier
 };
 
 void
+StepRegistration::RegisterReads(std::uint32_t part)
+{
+    // Per-thread scratch: the capacity persists across steps, so the
+    // steady state allocates nothing.
+    thread_local std::vector<Key> keys;
+    thread_local std::vector<GEntry *> entries;
+    const std::uint32_t n_gpus = ctx_.n_gpus;
+    for (Step t = reads_begin_; t < reads_end_; ++t) {
+        keys.clear();
+        for (std::uint32_t g = 0; g < n_gpus; ++g) {
+            for (const Key key : ctx_.trace.KeysFor(t, g)) {
+                if (MixHash64(key) % n_gpus == part)
+                    // alloc-ok: thread_local scratch; capacity amortizes
+                    // across steps.
+                    keys.push_back(key);
+            }
+        }
+        // alloc-ok: thread_local scratch (see above).
+        entries.resize(keys.size());
+        // alloc-ok: g-entries are created once per key (arena growth);
+        // the call's grouping scratch is thread_local.
+        ctx_.registry.GetOrCreateBatch(keys, entries.data());
+        for (GEntry *entry : entries)
+            RegisterRead(ctx_.queue, *entry, t);
+    }
+}
+
+void
 StepRegistration::RegisterPart(Step s, std::uint32_t part, LagSampler *lag)
 {
+    RegisterReads(part);
     // Per-thread scratch: the capacity persists across steps, so the
     // steady state allocates nothing.
     thread_local std::vector<UpdateRow> rows;
@@ -1022,9 +1064,9 @@ StepRegistration::RegisterPart(Step s, std::uint32_t part, LagSampler *lag)
 
 /**
  * The step-barrier completion, run single-threaded while every live
- * trainer is parked: the checkpoint barrier, trainer death with the
- * degraded-mode remap, and dead-key reclamation. It owns the execution
- * map the trainers and the prefetcher read.
+ * trainer is parked: the next registration round and its read range, the
+ * checkpoint barrier, trainer death with the degraded-mode remap, and
+ * dead-key reclamation. It owns the execution map the trainers read.
  */
 class StepBoundary
 {
@@ -1065,9 +1107,16 @@ class StepBoundary
         // relaxed: the completion is the only writer and runs
         // single-threaded between steps.
         const Step s = ctx_.gate.current_step.load(std::memory_order_relaxed);
-        // Open step s's registration round: every trainer finished
-        // claiming step s - 1's parts before it arrived here.
+        // Open step s's registration round (every trainer finished
+        // claiming step s - 1's parts before it arrived here) and its
+        // read range, re-reading the lookahead so degradation applies.
         registration_.Reset();
+        registration_.AdvanceReads(std::min<Step>(
+            ctx_.n_steps, s + 1 + ctx_.degradation.Lookahead()));
+        // Under the gate nothing below s + 1 is pending (the async
+        // ablation's stale priorities survive, so its floor stays 0).
+        ctx_.queue.SetScanBounds(ctx_.config.disable_gate_unsafe ? 0 : s + 1,
+                                 registration_.reads_end());
         if (step_hook_)
             step_hook_(s);
 #if FRUGAL_DCHECK_ENABLED
@@ -1234,154 +1283,6 @@ struct BoundaryCompletion
 };
 using StepBarrier = std::barrier<BoundaryCompletion>;
 
-/** The prefetch thread (the sample queue, §3.2) and oracular warming. */
-class Prefetcher
-{
-  public:
-    Prefetcher(RunContext &ctx, const StepBoundary &boundary)
-        : ctx_(ctx), boundary_(boundary)
-    {
-    }
-    Prefetcher(const Prefetcher &) = delete;
-    Prefetcher &operator=(const Prefetcher &) = delete;
-
-    /**
-     * The thread body. Wake hysteresis: parking per advanced step costs
-     * one futex round trip per training step. Sleep until a burst of
-     * headroom (half the lookahead window) has opened, then register
-     * every available step before re-parking — same RegisterRead stream,
-     * a fraction of the wakeups. The burst tracks the *effective*
-     * lookahead: under memory-pressure degradation the window can shrink
-     * to 1, and a burst sized off the configured window would then demand
-     * headroom that never opens (livelock).
-     */
-    void
-    Loop()
-    {
-        const Step n_steps = ctx_.n_steps;
-        // relaxed: only the prefetcher itself advances the frontier, so
-        // its own prior store is always visible to it.
-        Step frontier =
-            ctx_.gate.prefetch_frontier.load(std::memory_order_relaxed);
-        auto has_headroom = [&] {
-            const Step limit = Limit();
-            // The final (partial) burst must not wait for headroom the
-            // run will never produce.
-            const Step burst =
-                std::max<Step>(1, ctx_.degradation.Lookahead() / 2);
-            return frontier < limit &&
-                   (frontier + burst <= limit || limit >= n_steps);
-        };
-        while (frontier < n_steps) {
-            // Timed re-check: recovery paths can lose a wakeup; the
-            // deadline bounds any missed notify to one period.
-            while (!ctx_.gate.WaitFor(std::chrono::milliseconds(50),
-                                      has_headroom)) {
-            }
-            for (; frontier < Limit(); ++frontier) {
-                RegisterReads(frontier);
-                ctx_.gate.prefetch_frontier.store(frontier + 1,
-                                                  std::memory_order_release);
-                ctx_.gate.Nudge();
-                // Oracular warm, after the gate nudge: warming is
-                // opportunistic and must never delay the gate. A step the
-                // trainers already reached is not worth gathering for —
-                // the demand path is serving it now.
-                if (!ctx_.degradation.Warming())
-                    continue;
-                if (ctx_.gate.current() >= frontier) {
-                    // relaxed: monotonic stat counter.
-                    ctx_.counters.late_warms.fetch_add(
-                        1, std::memory_order_relaxed);
-                } else {
-                    WarmStep(frontier);
-                }
-            }
-        }
-    }
-
-  private:
-    /** End (exclusive) of the steps the lookahead window admits now. */
-    Step
-    Limit() const
-    {
-        return std::min<Step>(ctx_.n_steps, ctx_.gate.current() +
-                                                ctx_.degradation.Lookahead());
-    }
-
-    void
-    RegisterReads(Step s)
-    {
-        for (std::uint32_t g = 0; g < ctx_.n_gpus; ++g) {
-            // Batched get-or-create: one registry shard-lock take per
-            // same-shard key run instead of one per key.
-            const std::vector<Key> &keys = ctx_.trace.KeysFor(s, g);
-            resolved_.resize(keys.size());
-            ctx_.registry.GetOrCreateBatch(keys, resolved_.data());
-            for (GEntry *entry : resolved_)
-                RegisterRead(ctx_.queue, *entry, s);
-        }
-    }
-
-    /**
-     * Oracular warming for one registered step: gather the rows the step
-     * will read from the host table in batches and insert them cold into
-     * the owner GPU's cache (GpuCache::WarmBatch — stamped two-phase, so
-     * a racing flush always wins). The simulated-PCIe debt is paid as
-     * sleeps, so on an oversubscribed host the prefetcher yields instead
-     * of stealing trainer cycles — the DMA-latency-hiding the warm path
-     * exists to model.
-     */
-    void
-    WarmStep(Step target)
-    {
-        for (std::uint32_t g = 0; g < ctx_.n_gpus; ++g) {
-            // Only keys the executing trainer owns are cacheable on its
-            // GPU (non-owned keys use the zero-copy host path).
-            const GpuId dst = boundary_.ExecutorOf(g);
-            warm_keys_.clear();
-            warm_hints_.clear();
-            for (const Key key : ctx_.trace.KeysFor(target, g)) {
-                if (ctx_.ownership.OwnerOf(key) == dst) {
-                    // alloc-ok: scratch capacity amortizes across steps;
-                    // warming is off the critical path.
-                    warm_keys_.push_back(key);
-                    // The row's next read *from now* is the target step
-                    // itself; the trainer's hinted TryGet refreshes it to
-                    // the post-target next use.
-                    warm_hints_.push_back(target);
-                }
-            }
-            if (warm_keys_.empty())
-                continue;
-            ctx_.caches[dst]->WarmBatch(
-                warm_keys_.data(), warm_hints_.data(), warm_keys_.size(),
-                [&](const Key *fill, std::size_t m, float *rows) {
-                    ctx_.table.ReadRows(fill, m, rows);
-                    gather_debt_ns_ +=
-                        m * static_cast<std::uint64_t>(
-                                std::max(0, ctx_.config.host_gather_ns));
-                });
-            if (gather_debt_ns_ >= kGatherSleepQuantumNs) {
-                // retry-exempt: simulated PCIe latency, not a retry
-                // backoff.
-                std::this_thread::sleep_for(
-                    std::chrono::nanoseconds(gather_debt_ns_));
-                gather_debt_ns_ = 0;
-            }
-        }
-    }
-
-    RunContext &ctx_;
-    const StepBoundary &boundary_;
-    std::vector<GEntry *> resolved_;
-    // Warm scratch: the subset of a future step's keys owned by the
-    // thread that will execute them, plus their hints.
-    std::vector<Key> warm_keys_;
-    std::vector<Step> warm_hints_;
-    std::uint64_t gather_debt_ns_ = 0;
-};
-
 /**
  * Per-trainer hot-loop counters, folded into the shared atomics right
  * before each step-barrier arrival. Bumping shared atomics per key is
@@ -1412,6 +1313,7 @@ class alignas(kCacheLineSize) Trainer
     void
     Loop()
     {
+        WarmAhead(0);
         for (Step s = 0; s < ctx_.n_steps; ++s) {
             if (boundary_.Dead(id_)) {
                 // Injected death: leave the barrier for good. The early
@@ -1448,8 +1350,10 @@ class alignas(kCacheLineSize) Trainer
             // Register step s: every trainer has left it now. A trainer
             // killed at this boundary claims nothing; the survivors take
             // its share (parts are keyed by hash, not by trainer).
-            if (!boundary_.Dead(id_))
+            if (!boundary_.Dead(id_)) {
                 registration_.RegisterStep(s, &lag_);
+                WarmAhead(s + 1);
+            }
         }
     }
 
@@ -1480,8 +1384,6 @@ class alignas(kCacheLineSize) Trainer
             constexpr std::size_t kAssistYields = 32;
             std::size_t idle_passes = 0;
             while (!gate.Open(s)) {
-                const Step floor = gate.current();
-                ctx_.queue.SetScanBounds(floor, gate.frontier());
                 assist_.clear();
                 // Bounded claim: only the entries blocking *this* gate
                 // (priority <= s). Later-step and deferred entries stay
@@ -1490,9 +1392,9 @@ class alignas(kCacheLineSize) Trainer
                 if (ctx_.queue.DequeueClaimBelow(
                         assist_, ctx_.degradation.FlushBatch(), id_, s) ==
                     0) {
-                    // Nothing claimable: the gate waits on the prefetcher
-                    // or a peer's step registration, or the work is in
-                    // flight on a flusher. Yield first — on a machine
+                    // Nothing claimable: the gate waits on a peer's step
+                    // registration, or the work is in flight on a
+                    // flusher. Yield first — on a machine
                     // with fewer cores than threads that hands the
                     // timeslice straight to whichever thread the gate is
                     // waiting for, without a futex round trip — and only
@@ -1508,7 +1410,7 @@ class alignas(kCacheLineSize) Trainer
                 idle_passes = 0;
 #if FRUGAL_DCHECK_ENABLED
                 if (ctx_.auditor_armed)
-                    ctx_.auditor.OnClaimBatch(assist_, floor);
+                    ctx_.auditor.OnClaimBatch(assist_, gate.current());
 #endif
                 // relaxed: monotonic stat counter.
                 ctx_.counters.entry_claims.fetch_add(
@@ -1521,6 +1423,61 @@ class alignas(kCacheLineSize) Trainer
             Seconds(wait_start, std::chrono::steady_clock::now());
         stall_seconds_ += stall;
         stall_stats_.Add(stall);
+    }
+
+    /** Oracular warming (DESIGN.md §13.2) of this trainer's cache for
+     *  the last round's read range. A step at or before `next`, the one
+     *  it runs next, is left to the demand path: a late warm. */
+    void
+    WarmAhead(Step next)
+    {
+        if (!ctx_.degradation.Warming())
+            return;
+        for (Step t = registration_.reads_begin();
+             t < registration_.reads_end(); ++t) {
+            if (t > next) {
+                WarmStep(t);
+            } else {
+                // relaxed: monotonic stat counter.
+                ctx_.counters.late_warms.fetch_add(1,
+                                                   std::memory_order_relaxed);
+            }
+        }
+    }
+
+    /**
+     * Gathers from the host table the rows step `target` will read on
+     * this trainer that it owns, and inserts them cold into its cache
+     * (GpuCache::WarmBatch: stamped two-phase, so a racing flush always
+     * wins). The gathers model asynchronous DMA issued a window ahead, so
+     * unlike demand reads they pay no host_gather_ns.
+     */
+    void
+    WarmStep(Step target)
+    {
+        for (std::uint32_t g = 0; g < ctx_.n_gpus; ++g) {
+            if (boundary_.ExecutorOf(g) != id_)
+                continue;
+            warm_keys_.clear();
+            warm_hints_.clear();
+            for (const Key key : ctx_.trace.KeysFor(target, g)) {
+                if (ctx_.ownership.OwnerOf(key) == id_) {
+                    // alloc-ok: member scratch; capacity amortizes.
+                    warm_keys_.push_back(key);
+                    // The row's next read is `target` itself; the hinted
+                    // TryGet then refreshes it to the next use after.
+                    // alloc-ok: member scratch (see above).
+                    warm_hints_.push_back(target);
+                }
+            }
+            // alloc-ok: WarmBatch's scratch is thread_local; its capacity
+            // amortizes across steps.
+            ctx_.caches[id_]->WarmBatch(
+                warm_keys_.data(), warm_hints_.data(), warm_keys_.size(),
+                [this](const Key *fill, std::size_t m, float *rows) {
+                    ctx_.table.ReadRows(fill, m, rows);
+                });
+        }
     }
 
     /** Gather, model and emit of trace GPU `g`'s share of step `s`. */
@@ -1638,6 +1595,10 @@ class alignas(kCacheLineSize) Trainer
     std::vector<Step> owned_hint_;
     /** Claim buffer for cooperative flushing at the gate. */
     std::vector<ClaimTicket> assist_;
+    /** Warm scratch: a future step's keys this trainer owns, and their
+     *  hints. */
+    std::vector<Key> warm_keys_;
+    std::vector<Step> warm_hints_;
     /** Simulated-PCIe debt for demand gathers, amortized into sleep
      *  quanta (EngineConfig::host_gather_ns). */
     std::uint64_t gather_debt_ns_ = 0;
@@ -1715,7 +1676,6 @@ class ControlLoop
         ProgressSnapshot snap;
         snap.current_step = ctx_.gate.current();
         snap.drained_steps = ctx_.gate.drained();
-        snap.prefetch_frontier = ctx_.gate.frontier();
         // relaxed: diagnostic snapshot; the two counters may be mutually
         // skewed, which Classify tolerates.
         snap.updates_emitted =
@@ -1770,13 +1730,6 @@ class ControlLoop
             << " staging=" << snap.staging_size << " pq=" << snap.pq_size
             << ")\nstall diagnosis:\n"
             << dump.str());
-        if (stall == StallKind::kEmptyQueueIdle ||
-            stall == StallKind::kUnknown) {
-            // Cheap, safe, idempotent: re-deliver a possibly lost gate
-            // wakeup. Not counted as a recovery — if the nudge fixes it,
-            // progress resumes and the stall clears.
-            ctx_.gate.Nudge();
-        }
     }
 
     /** Publishes the component gauges and reacts to a stage change. */
@@ -1848,9 +1801,6 @@ class ControlLoop
                     << ", flush batch " << flush_batch << ", " << shed
                     << " cache row(s) shed)");
         reacted_ = stage;
-        // Every lookahead change must nudge the gate CV — a prefetcher
-        // parked on a full window re-evaluates against the new bound.
-        ctx_.gate.Nudge();
     }
 
     RunContext &ctx_;
@@ -1891,6 +1841,16 @@ FoldCacheStats(const std::vector<std::unique_ptr<GpuCache>> &caches,
 
 }  // namespace
 
+FrugalEngine::FrugalEngine(const EngineConfig &config) : Engine(config)
+{
+    // A zero window registers no step's reads before its gate; without
+    // flush threads, or with empty claims, deferred updates never apply.
+    FRUGAL_CHECK_MSG(config.lookahead >= 1, "EngineConfig::lookahead is 0");
+    FRUGAL_CHECK_MSG(config.flush_threads >= 1,
+                     "EngineConfig::flush_threads is 0");
+    FRUGAL_CHECK_MSG(config.flush_batch >= 1, "EngineConfig::flush_batch is 0");
+}
+
 RunReport
 FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
                   const StepHook &step_hook)
@@ -1912,7 +1872,6 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     FlushTier flush(ctx);
     StepRegistration registration(ctx, flush);
     StepBoundary boundary(ctx, registration, step_hook, first_step_);
-    Prefetcher prefetcher(ctx, boundary);
     StepBarrier barrier(static_cast<std::ptrdiff_t>(n_gpus),
                         BoundaryCompletion{&boundary});
     std::vector<std::unique_ptr<Trainer>> trainers;
@@ -1924,7 +1883,13 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     ControlLoop control(ctx, registration, flush);
 
     const auto run_start = std::chrono::steady_clock::now();
-    std::thread prefetch_thread(&Prefetcher::Loop, &prefetcher);
+    // The first lookahead window's reads, before any thread starts; each
+    // step boundary registers the steps entering the window after it.
+    registration.AdvanceReads(
+        std::min<Step>(ctx.n_steps, ctx.degradation.Lookahead()));
+    for (std::uint32_t part = 0; part < n_gpus; ++part)
+        registration.RegisterReads(part);
+    ctx.queue.SetScanBounds(0, registration.reads_end());
     flush.Start();
     std::thread control_thread(&ControlLoop::Loop, &control);
     std::vector<std::thread> trainer_threads;
@@ -1933,14 +1898,10 @@ FrugalEngine::Run(const Trace &trace, const GradFn &grad_fn,
     for (auto &thread : trainer_threads)
         thread.join();
     // Every step is registered: each trainer registers after its last
-    // barrier, and passed the last gate only once the prefetcher had
-    // registered every step. Let the pipeline wind down (paper: "the
-    // system waits for flushing threads to write all deferred parameter
-    // updates to host memory"); the nudge wakes a prefetcher parked on
-    // the gate CV, so teardown never waits out a 50 ms re-check slice.
+    // barrier. Let the pipeline wind down (paper: "the system waits for
+    // flushing threads to write all deferred parameter updates to host
+    // memory").
     ctx.gate.run_complete.store(true, std::memory_order_release);
-    ctx.gate.Nudge();
-    prefetch_thread.join();
     // Recovery-aware wind-down: a flusher may die on the very last batch.
     // Wait until every slot is quiet and all updates are applied — the
     // control loop keeps respawning dead slots and reclaiming their

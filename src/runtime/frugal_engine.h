@@ -1,9 +1,8 @@
 /**
  * @file
  * The full Frugal system (§3): trainer threads with the P²F gate, a
- * controller (prefetch thread, N flush threads), private sharded GPU
- * caches, UVA-style direct host reads, and the two-level PQ scheduling
- * proactive flushes.
+ * controller (N flush threads), private sharded GPU caches, UVA-style
+ * direct host reads, and the two-level PQ scheduling proactive flushes.
  *
  * Thread roles (Fig. 5), each the loop of a named component in
  * frugal_engine.cc that Run builds, starts and joins:
@@ -11,17 +10,17 @@
  *    cache for owned keys, host memory for the rest), run the model
  *    callback, and write the step's ⟨key, step, Δ⟩ records into their
  *    trace GPU's batch slot. Right after the step barrier the trainers
- *    register the step into the g-entries/W sets and adjust PQ
- *    priorities (StepRegistration), splitting the work into fixed
- *    key-hash parts that any awake trainer claims; an entry the next
- *    step reads is flushed right there instead of enqueued. Registering only
- *    after the barrier matters: removing step s from an R set while
- *    another GPU is still executing step s would let a flush expose a
- *    post-step value mid-step (a race the paper's proof implicitly
- *    excludes). The barrier completion (StepBoundary) takes checkpoints
- *    and handles trainer death;
- *  - 1 prefetch thread (Prefetcher): walks the trace `L` steps ahead of
- *    training and registers R-set entries (the sample queue);
+ *    register the step (StepRegistration) in fixed key-hash parts that
+ *    any awake trainer claims: each part registers its keys' reads of
+ *    the steps entering the lookahead window `L` (the sample queue),
+ *    then the step's writes into the g-entries/W sets; an entry the
+ *    next step reads is flushed right there instead of enqueued.
+ *    Registering only after the barrier matters: removing step s from
+ *    an R set while another GPU is still executing step s would let a
+ *    flush expose a post-step value mid-step (a race the paper's proof
+ *    implicitly excludes). Each trainer then warms its own cache. The
+ *    barrier completion (StepBoundary) opens each round, takes
+ *    checkpoints and handles trainer death;
  *  - `flush_threads` flush threads (FlushTier): claim min-priority
  *    g-entries, apply their W sets to host memory, refresh the owner
  *    GPU's cached copy ("H2D"), and wake the gate;
@@ -48,7 +47,8 @@ namespace frugal {
 class FrugalEngine final : public Engine
 {
   public:
-    explicit FrugalEngine(const EngineConfig &config) : Engine(config) {}
+    /** Rejects configurations that can never finish a run. */
+    explicit FrugalEngine(const EngineConfig &config);
 
     RunReport Run(const Trace &trace, const GradFn &grad_fn,
                   const StepHook &step_hook = {}) override;

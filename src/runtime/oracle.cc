@@ -58,6 +58,29 @@ RunOracle(HostEmbeddingTable &table, Optimizer &optimizer,
     return applied;
 }
 
+EmbeddingTableConfig
+TableConfigFor(const EngineConfig &config)
+{
+    EmbeddingTableConfig table_config;
+    table_config.key_space = config.key_space;
+    table_config.dim = config.dim;
+    table_config.init_seed = config.init_seed;
+    table_config.init_scale = config.init_scale;
+    return table_config;
+}
+
+std::unique_ptr<HostEmbeddingTable>
+TrainOracle(const EngineConfig &config, const Trace &trace,
+            const GradFn &grad_fn, const StepHook &step_hook)
+{
+    auto table = std::make_unique<HostEmbeddingTable>(TableConfigFor(config));
+    const auto optimizer = MakeOptimizer(config.optimizer,
+                                         config.learning_rate,
+                                         config.key_space, config.dim);
+    RunOracle(*table, *optimizer, trace, grad_fn, step_hook);
+    return table;
+}
+
 double
 MaxAbsTableDiff(const HostEmbeddingTable &a, const HostEmbeddingTable &b)
 {

@@ -12,6 +12,8 @@
 #ifndef FRUGAL_RUNTIME_ORACLE_H_
 #define FRUGAL_RUNTIME_ORACLE_H_
 
+#include <memory>
+
 #include "runtime/engine.h"
 
 namespace frugal {
@@ -23,6 +25,15 @@ namespace frugal {
 std::uint64_t RunOracle(HostEmbeddingTable &table, Optimizer &optimizer,
                         const Trace &trace, const GradFn &grad_fn,
                         const StepHook &step_hook = {});
+
+/** The host table an engine built from `config` starts from. */
+EmbeddingTableConfig TableConfigFor(const EngineConfig &config);
+
+/** The oracle's parameters for an engine built from `config`: RunOracle
+ *  on a fresh table and optimizer of the configured kind. */
+std::unique_ptr<HostEmbeddingTable>
+TrainOracle(const EngineConfig &config, const Trace &trace,
+            const GradFn &grad_fn, const StepHook &step_hook = {});
 
 /** Max |a−b| over all rows of two equally shaped tables. */
 double MaxAbsTableDiff(const HostEmbeddingTable &a,

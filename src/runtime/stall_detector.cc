@@ -7,7 +7,6 @@ ProgressSnapshot::AdvancedSince(const ProgressSnapshot &other) const
 {
     return current_step != other.current_step ||
            drained_steps != other.drained_steps ||
-           prefetch_frontier != other.prefetch_frontier ||
            updates_emitted != other.updates_emitted ||
            updates_applied != other.updates_applied ||
            staging_size != other.staging_size ||

@@ -41,7 +41,6 @@ struct ProgressSnapshot
 {
     Step current_step = 0;
     Step drained_steps = 0;
-    Step prefetch_frontier = 0;
     std::uint64_t updates_emitted = 0;
     std::uint64_t updates_applied = 0;
     /** Update batches emitted but not yet registered into g-entries. */

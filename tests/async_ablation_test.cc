@@ -63,15 +63,8 @@ TEST(AsyncAblationTest, GateKeepsSlowFlushConsistent)
     EXPECT_EQ(report.audit_violations, 0u);
     EXPECT_GT(report.stall_seconds_total, 0.0);
 
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer("sgd", config.learning_rate, 128, 4);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table));
+    const auto oracle_table = TrainOracle(config, trace, task);
+    EXPECT_TRUE(TablesBitEqual(engine.table(), *oracle_table));
 }
 
 TEST(AsyncAblationTest, DisabledGateReadsStaleParameters)
@@ -90,15 +83,8 @@ TEST(AsyncAblationTest, DisabledGateReadsStaleParameters)
 
     // And the trained model diverges from the synchronous oracle —
     // the accuracy cost §3 cites.
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer("sgd", config.learning_rate, 128, 4);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_FALSE(TablesBitEqual(engine.table(), oracle_table));
+    const auto oracle_table = TrainOracle(config, trace, task);
+    EXPECT_FALSE(TablesBitEqual(engine.table(), *oracle_table));
 }
 
 TEST(AucTest, PerfectAndInvertedClassifiers)

@@ -449,12 +449,8 @@ TEST_F(CheckpointTest, ResumedRunCheckpointsGlobalCursor)
     const Trace trace = Trace::Synthetic(dist, rng, 40, 2, 8);
     const GradFn task = MakeLinearGradTask();
 
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
+    // The optimizer state is compared too, so the oracle keeps its own.
+    HostEmbeddingTable oracle_table(TableConfigFor(config));
     auto oracle_opt = MakeOptimizer(config.optimizer, config.learning_rate,
                                     config.key_space, config.dim);
     RunOracle(oracle_table, *oracle_opt, trace, task);

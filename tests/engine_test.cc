@@ -78,12 +78,7 @@ TEST_P(EngineOracleTest, FinalTableMatchesOracleBitForBit)
     EXPECT_GT(report.updates_applied, 0u);
 
     // Oracle replay on a fresh table.
-    EmbeddingTableConfig table_config;
-    table_config.key_space = config.key_space;
-    table_config.dim = config.dim;
-    table_config.init_seed = config.init_seed;
-    table_config.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(table_config);
+    HostEmbeddingTable oracle_table(TableConfigFor(config));
     auto oracle_opt =
         MakeOptimizer(config.optimizer, config.learning_rate,
                       config.key_space, config.dim);
@@ -200,9 +195,9 @@ CountThreads()
 
 TEST(EngineTest, BudgetedRunHasOneControlThread)
 {
-    // A FrugalEngine run adds the trainers, the flush threads, the
-    // prefetcher and one control thread — stall sampling and the
-    // memory-pressure reactions share it — to the calling thread.
+    // A FrugalEngine run adds the trainers, the flush threads and one
+    // control thread — stall sampling and the memory-pressure reactions
+    // share it — to the calling thread.
     EngineConfig config;
     config.n_gpus = 2;
     config.dim = 4;
@@ -212,8 +207,6 @@ TEST(EngineTest, BudgetedRunHasOneControlThread)
     config.memory_budget = &budget;
     Rng rng(5);
     UniformDistribution dist(config.key_space);
-    // Counted early: the prefetcher returns once its lookahead window
-    // reaches the end of the trace.
     const Trace trace = Trace::Synthetic(dist, rng, 60, 2, 8);
 
     // The caller alone, plus a sanitizer runtime's helper thread if any
@@ -226,8 +219,8 @@ TEST(EngineTest, BudgetedRunHasOneControlThread)
                                           if (s == 5)
                                               during = CountThreads();
                                       });
-    // 2 trainers, 2 flushers, the prefetcher and the control loop.
-    EXPECT_EQ(during, before + 2 + 2 + 2);
+    // 2 trainers, 2 flushers and the control loop.
+    EXPECT_EQ(during, before + 2 + 2 + 1);
 }
 
 TEST(EngineTest, ResetParametersRestoresInit)
@@ -246,12 +239,7 @@ TEST(EngineTest, ResetParametersRestoresInit)
     engine->Run(trace, MakeConstantGradTask());
     engine->ResetParameters();
 
-    EmbeddingTableConfig table_config;
-    table_config.key_space = config.key_space;
-    table_config.dim = config.dim;
-    table_config.init_seed = config.init_seed;
-    table_config.init_scale = config.init_scale;
-    HostEmbeddingTable fresh(table_config);
+    HostEmbeddingTable fresh(TableConfigFor(config));
     EXPECT_TRUE(TablesBitEqual(engine->table(), fresh));
 }
 
@@ -271,10 +259,7 @@ TEST(EngineTest, RerunAfterResetIsReproducible)
 
     auto engine = MakeEngine("frugal", config);
     engine->Run(trace, task);
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    HostEmbeddingTable snapshot(tc);
+    HostEmbeddingTable snapshot(TableConfigFor(config));
     for (Key k = 0; k < 128; ++k) {
         for (std::size_t j = 0; j < 4; ++j)
             snapshot.MutableRow(k)[j] = engine->table().Row(k)[j];
@@ -310,16 +295,8 @@ TEST(EngineTest, UnshardedQueueMatchesOracleBitForBit)
     EXPECT_EQ(report.updates_applied, report.updates_emitted);
     EXPECT_GT(report.flush_lag.count(), 0u);
 
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine->table(), oracle_table));
+    const auto oracle_table = TrainOracle(config, trace, task);
+    EXPECT_TRUE(TablesBitEqual(engine->table(), *oracle_table));
 }
 
 TEST(EngineTest, SingleKeyAdversarialBatch)
@@ -344,15 +321,8 @@ TEST(EngineTest, SingleKeyAdversarialBatch)
     const RunReport report = engine->Run(trace, task);
     EXPECT_EQ(report.audit_violations, 0u);
 
-    EmbeddingTableConfig tc;
-    tc.key_space = 8;
-    tc.dim = 4;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer("sgd", config.learning_rate, 8, 4);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine->table(), oracle_table));
+    const auto oracle_table = TrainOracle(config, trace, task);
+    EXPECT_TRUE(TablesBitEqual(engine->table(), *oracle_table));
 }
 
 TEST(EngineTest, CacheStatsPlausible)
@@ -407,16 +377,8 @@ TEST(EngineTest, OracularAndPlainModesTrainBitIdentically)
     EXPECT_TRUE(TablesBitEqual(oracular_engine->table(),
                                plain_engine->table()));
 
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(oracular_engine->table(), oracle_table));
+    const auto oracle_table = TrainOracle(config, trace, task);
+    EXPECT_TRUE(TablesBitEqual(oracular_engine->table(), *oracle_table));
 
     // The oracle mode actually warmed and reclaimed; plain mode's
     // counters stay zero.
@@ -455,16 +417,34 @@ TEST(EngineTest, OracularThrashingCacheWithGatherLatencyIsConsistent)
     const RunReport report = engine->Run(trace, task);
     EXPECT_EQ(report.audit_violations, 0u);
 
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine->table(), oracle_table));
+    const auto oracle_table = TrainOracle(config, trace, task);
+    EXPECT_TRUE(TablesBitEqual(engine->table(), *oracle_table));
+}
+
+// Each of these values can never finish a run: a zero lookahead window
+// registers no reads before the step that needs them, no flush thread
+// means deferred updates are never applied, and a zero-entry claim never
+// takes the entry a gate waits on. The constructor names the field.
+TEST(EngineConfigTest, RejectsZeroLookahead)
+{
+    EngineConfig config;
+    config.lookahead = 0;
+    EXPECT_DEATH(MakeEngine("frugal", config), "EngineConfig::lookahead");
+}
+
+TEST(EngineConfigTest, RejectsZeroFlushThreads)
+{
+    EngineConfig config;
+    config.flush_threads = 0;
+    EXPECT_DEATH(MakeEngine("frugal", config),
+                 "EngineConfig::flush_threads");
+}
+
+TEST(EngineConfigTest, RejectsZeroFlushBatch)
+{
+    EngineConfig config;
+    config.flush_batch = 0;
+    EXPECT_DEATH(MakeEngine("frugal", config), "EngineConfig::flush_batch");
 }
 
 }  // namespace

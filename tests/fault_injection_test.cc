@@ -31,20 +31,10 @@ BaseConfig()
 void
 ExpectOracleEqual(Engine &engine, const Trace &trace, const GradFn &task)
 {
-    EmbeddingTableConfig tc;
-    tc.key_space = engine.config().key_space;
-    tc.dim = engine.config().dim;
-    tc.init_seed = engine.config().init_seed;
-    tc.init_scale = engine.config().init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(engine.config().optimizer,
-                             engine.config().learning_rate,
-                             engine.config().key_space,
-                             engine.config().dim);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table))
+    const auto oracle_table = TrainOracle(engine.config(), trace, task);
+    EXPECT_TRUE(TablesBitEqual(engine.table(), *oracle_table))
         << "max diff "
-        << MaxAbsTableDiff(engine.table(), oracle_table);
+        << MaxAbsTableDiff(engine.table(), *oracle_table);
 }
 
 TEST(FaultInjectionTest, StarvedFlushPipeline)
@@ -187,12 +177,7 @@ TEST(FaultInjectionTest, ZeroGradientUpdatesStillFlush)
     EXPECT_EQ(report.audit_violations, 0u);
     EXPECT_EQ(report.updates_applied, report.updates_emitted);
     // Table must equal a fresh init (SGD with zero gradients).
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable fresh(tc);
+    HostEmbeddingTable fresh(TableConfigFor(config));
     EXPECT_TRUE(TablesBitEqual(engine.table(), fresh));
 }
 

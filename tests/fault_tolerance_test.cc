@@ -62,19 +62,9 @@ HoldOneBoundary(const EngineConfig &config)
 void
 ExpectOracleEqual(Engine &engine, const Trace &trace, const GradFn &task)
 {
-    EmbeddingTableConfig tc;
-    tc.key_space = engine.config().key_space;
-    tc.dim = engine.config().dim;
-    tc.init_seed = engine.config().init_seed;
-    tc.init_scale = engine.config().init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(engine.config().optimizer,
-                             engine.config().learning_rate,
-                             engine.config().key_space,
-                             engine.config().dim);
-    RunOracle(oracle_table, *opt, trace, task);
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table))
-        << "max diff " << MaxAbsTableDiff(engine.table(), oracle_table);
+    const auto oracle_table = TrainOracle(engine.config(), trace, task);
+    EXPECT_TRUE(TablesBitEqual(engine.table(), *oracle_table))
+        << "max diff " << MaxAbsTableDiff(engine.table(), *oracle_table);
 }
 
 // --- fault injector determinism -------------------------------------

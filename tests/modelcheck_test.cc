@@ -644,7 +644,7 @@ struct DueFlushState
     model_atomic<int> applied{0};
     /** drained_steps past kStep: step 1 fully registered. */
     model_atomic<int> published{0};
-    /** The prefetch frontier past step 2: its R sets are in place. */
+    /** Step 2's read registered: its R sets are in place. */
     model_atomic<int> read_registered{0};
     std::size_t registration_applied = 0;
     std::size_t claim_applied = 0;
@@ -672,7 +672,9 @@ ExploreDueFlush(StandingRetire retire, const check::Options &options,
             st->published.store(1);
         });
         ex.Thread([st] {
-            // The prefetcher registers step 2's read of the key.
+            // Step 2's read of the key. The engine registers it in the
+            // same part, just before the writes; a separate thread covers
+            // every order of the two.
             RegisterRead(st->pq.queue, st->entry(), /*step=*/2);
             st->read_registered.store(1);
         });
@@ -762,8 +764,10 @@ TEST(ModelCheckDueFlush, RetireBeforeApplyCaught)
 // --------------------------------------------------------------------
 // Step registration: right after the step barrier, trainers claim the
 // step's registration parts through PartClaimer while a trainer already
-// at the next gate polls it. The gate must open only once every part is
-// registered, and each part must be registered exactly once.
+// at the next gate polls it. Each part registers its keys' reads of the
+// steps entering the lookahead window, then the step's writes. The gate
+// must open only once every part's reads and writes are registered, and
+// each part must be registered exactly once.
 // --------------------------------------------------------------------
 
 /** What the model gate tests to decide that a step is registered. */
@@ -775,28 +779,44 @@ enum class RegistrationGate {
     kAllPartsClaimed,
 };
 
+/** Where a part's read records go relative to finishing the part. */
+enum class ReadOrder {
+    /** The engine's order: reads, writes, then Finish (and publish). */
+    kBeforeFinish,
+    /** The bug shape: the reads after Finish, so the last finisher
+     *  publishes before its own part's reads are registered. */
+    kAfterPublish,
+};
+
 /** Per-run registration fixture: one step, three parts (more parts than
  *  the two trainers, as after a trainer death). */
 struct RegistrationState
 {
     static constexpr std::uint32_t kParts = 3;
-    /** Records per part: two, so a claimer can be preempted mid-part. */
+    /** Read records per part: one, for a key of a step entering the
+     *  window. */
+    static constexpr int kReadsPerPart = 1;
+    /** Write records per part: two, so a claimer can be preempted
+     *  mid-part. */
     static constexpr int kRecordsPerPart = 2;
 
     PartClaimer claimer{kParts};
     std::array<model_atomic<int>, kParts> claims{};
+    std::array<model_atomic<int>, kParts> reads{};
     std::array<model_atomic<int>, kParts> records{};
     /** The engine's drained_steps, for one step. */
     model_atomic<int> published{0};
 
-    /** A trainer's post-barrier loop (FrugalEngine's register_step). */
+    /** A trainer's post-barrier loop (StepRegistration::RegisterStep). */
     void
-    RegisterClaimedParts()
+    RegisterClaimedParts(ReadOrder order)
     {
         for (std::uint32_t part = claimer.Claim(); part < kParts;
              part = claimer.Claim()) {
             check::ModelAssert(claims[part].fetch_add(1) == 0,
                                "registration part claimed twice");
+            if (order == ReadOrder::kBeforeFinish)
+                RegisterReads(part);
             for (int r = 0; r < kRecordsPerPart; ++r)
                 records[part].fetch_add(1);
             if (claimer.Finish()) {
@@ -804,7 +824,16 @@ struct RegistrationState
                                    "step published twice");
                 published.store(1);
             }
+            if (order == ReadOrder::kAfterPublish)
+                RegisterReads(part);
         }
+    }
+
+    void
+    RegisterReads(std::uint32_t part)
+    {
+        for (int r = 0; r < kReadsPerPart; ++r)
+            reads[part].fetch_add(1);
     }
 
     bool
@@ -817,22 +846,28 @@ struct RegistrationState
 };
 
 check::Result
-ExploreStepRegistration(RegistrationGate gate, const check::Options &options)
+ExploreStepRegistration(RegistrationGate gate, ReadOrder order,
+                        const check::Options &options)
 {
-    return check::Explore(options, [gate](check::Explorer &ex) {
+    return check::Explore(options, [gate, order](check::Explorer &ex) {
         auto state = std::make_shared<RegistrationState>();
         state->claimer.Reset();  // the barrier completion's reset
-        ex.Thread([state] { state->RegisterClaimedParts(); });
-        ex.Thread([state] { state->RegisterClaimedParts(); });
+        ex.Thread([state, order] { state->RegisterClaimedParts(order); });
+        ex.Thread([state, order] { state->RegisterClaimedParts(order); });
         ex.Thread([state, gate] {
             for (int i = 0; i < 3; ++i) {
                 if (!state->GateOpen(gate))
                     continue;
-                for (const auto &records : state->records) {
+                for (std::uint32_t p = 0; p < RegistrationState::kParts;
+                     ++p) {
                     check::ModelAssert(
-                        records.load() ==
+                        state->records[p].load() ==
                             RegistrationState::kRecordsPerPart,
                         "gate opened with a part unregistered");
+                    check::ModelAssert(
+                        state->reads[p].load() ==
+                            RegistrationState::kReadsPerPart,
+                        "gate opened with a part's reads unregistered");
                 }
             }
         });
@@ -840,10 +875,14 @@ ExploreStepRegistration(RegistrationGate gate, const check::Options &options)
 
         // Quiescent: only for the expected-clean variant (a
         // violation-aborted run unwinds the claimers mid-part).
-        if (gate == RegistrationGate::kLastFinisherPublished) {
+        if (gate == RegistrationGate::kLastFinisherPublished &&
+            order == ReadOrder::kBeforeFinish) {
             for (std::uint32_t p = 0; p < RegistrationState::kParts; ++p) {
                 ex.Check(state->claims[p].load() == 1,
                          "every part claimed exactly once");
+                ex.Check(state->reads[p].load() ==
+                             RegistrationState::kReadsPerPart,
+                         "every part's reads registered once");
                 ex.Check(state->records[p].load() ==
                              RegistrationState::kRecordsPerPart,
                          "every part fully registered");
@@ -860,7 +899,8 @@ TEST(ModelCheckStepRegistration, GateOpensOnlyWhenEveryPartRegistered)
 {
     FRUGAL_REQUIRE_MODELCHECK();
     const check::Result result = ExploreStepRegistration(
-        RegistrationGate::kLastFinisherPublished, DefaultOptions());
+        RegistrationGate::kLastFinisherPublished, ReadOrder::kBeforeFinish,
+        DefaultOptions());
     ReportExploration("StepRegistration", result);
     EXPECT_TRUE(result.clean()) << result.first_violation;
     EXPECT_GE(result.distinct_schedules, kDistinctTarget);
@@ -872,13 +912,32 @@ TEST(ModelCheckStepRegistration, ClaimedNotDoneGateCaught)
     check::Options options = DefaultOptions();
     options.stop_on_violation = true;
     const check::Result result = ExploreStepRegistration(
-        RegistrationGate::kAllPartsClaimed, options);
+        RegistrationGate::kAllPartsClaimed, ReadOrder::kBeforeFinish,
+        options);
     ReportExploration("StepRegistrationClaimedGateCaught", result);
     ASSERT_GT(result.violations, 0u)
         << "the explorer failed to catch a gate that opens on claimed "
            "(not registered) parts: "
         << result.Summary();
     EXPECT_NE(result.first_violation.find("part unregistered"),
+              std::string::npos)
+        << result.first_violation;
+}
+
+TEST(ModelCheckStepRegistration, ReadsAfterPublishCaught)
+{
+    FRUGAL_REQUIRE_MODELCHECK();
+    check::Options options = DefaultOptions();
+    options.stop_on_violation = true;
+    const check::Result result = ExploreStepRegistration(
+        RegistrationGate::kLastFinisherPublished, ReadOrder::kAfterPublish,
+        options);
+    ReportExploration("StepRegistrationReadsAfterPublishCaught", result);
+    ASSERT_GT(result.violations, 0u)
+        << "the explorer failed to catch a last finisher that publishes "
+           "the step before its part's reads are registered: "
+        << result.Summary();
+    EXPECT_NE(result.first_violation.find("reads unregistered"),
               std::string::npos)
         << result.first_violation;
 }

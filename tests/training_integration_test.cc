@@ -90,21 +90,13 @@ TEST(DlrmIntegrationTest, FrugalMatchesOracleTraining)
 
     // Oracle replay with a fresh model instance.
     auto oracle_model = std::make_unique<DlrmModel>(model_config);
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, workload.trace,
-              oracle_model->BindGradFn(workload),
-              oracle_model->BindStepHook());
+    const auto oracle_table =
+        TrainOracle(config, workload.trace, oracle_model->BindGradFn(workload),
+                    oracle_model->BindStepHook());
 
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table))
+    EXPECT_TRUE(TablesBitEqual(engine.table(), *oracle_table))
         << "max diff "
-        << MaxAbsTableDiff(engine.table(), oracle_table);
+        << MaxAbsTableDiff(engine.table(), *oracle_table);
     // Loss trajectories identical too (dense replicas in lockstep).
     ASSERT_EQ(engine_model->loss_history().size(),
               oracle_model->loss_history().size());
@@ -162,20 +154,12 @@ TEST_P(KgIntegrationTest, LossDecreasesAndMatchesOracle)
 
     // Oracle equality.
     KgModel oracle_model(model_config);
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, workload.trace,
-              oracle_model.BindGradFn(workload),
-              oracle_model.BindStepHook());
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table))
+    const auto oracle_table =
+        TrainOracle(config, workload.trace, oracle_model.BindGradFn(workload),
+                    oracle_model.BindStepHook());
+    EXPECT_TRUE(TablesBitEqual(engine.table(), *oracle_table))
         << KgScorerName(GetParam()) << " max diff "
-        << MaxAbsTableDiff(engine.table(), oracle_table);
+        << MaxAbsTableDiff(engine.table(), *oracle_table);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScorers, KgIntegrationTest,
@@ -211,18 +195,10 @@ TEST(KgIntegrationTest2, CachedBaselineAlsoMatchesOracle)
                engine_model.BindStepHook());
 
     KgModel oracle_model(model_config);
-    EmbeddingTableConfig tc;
-    tc.key_space = config.key_space;
-    tc.dim = config.dim;
-    tc.init_seed = config.init_seed;
-    tc.init_scale = config.init_scale;
-    HostEmbeddingTable oracle_table(tc);
-    auto opt = MakeOptimizer(config.optimizer, config.learning_rate,
-                             config.key_space, config.dim);
-    RunOracle(oracle_table, *opt, workload.trace,
-              oracle_model.BindGradFn(workload),
-              oracle_model.BindStepHook());
-    EXPECT_TRUE(TablesBitEqual(engine.table(), oracle_table));
+    const auto oracle_table =
+        TrainOracle(config, workload.trace, oracle_model.BindGradFn(workload),
+                    oracle_model.BindStepHook());
+    EXPECT_TRUE(TablesBitEqual(engine.table(), *oracle_table));
 }
 
 }  // namespace
