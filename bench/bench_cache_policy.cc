@@ -231,7 +231,7 @@ main(int argc, char **argv)
                         "cpolicy_declines" + tag,
                         static_cast<double>(
                             best.stats.admission_declines),
-                        "inserts"});
+                        "inserts", /*lower_is_better=*/true});
                 }
                 if (policy.segmented) {
                     metrics.push_back(Metric{

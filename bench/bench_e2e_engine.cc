@@ -179,7 +179,7 @@ main(int argc, char **argv)
                 Metric{"e2e_admission_declines_" + g + f,
                        static_cast<double>(
                            cell.cache.admission_declines),
-                       "inserts"});
+                       "inserts", /*lower_is_better=*/true});
             grid.AddRow({std::to_string(gpus), std::to_string(flushers),
                          FormatDouble(cell.steps_per_s, 1),
                          FormatDouble(cell.cache.HitRatio() * 100, 1) +

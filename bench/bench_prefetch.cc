@@ -257,7 +257,7 @@ main(int argc, char **argv)
                         "prefetch_admission_declines_" + tag,
                         static_cast<double>(
                             cell.cache.admission_declines),
-                        "inserts"});
+                        "inserts", /*lower_is_better=*/true});
                     metrics.push_back(Metric{
                         "prefetch_promotions_" + tag,
                         static_cast<double>(cell.cache.promotions),

@@ -3,12 +3,15 @@
 
     python3 scripts/bench_diff.py BASELINE FRESH [NAME]
 
-Both files hold a list of {"metric", "value", "unit"} records. Prints a
-WARN line for a metric that vanished or appeared, changed unit, or fell
-more than 10x below the baseline; NAME (default: the baseline's file
-name) labels the closing line. Always exits 0 once both files are
-read: absolute numbers vary by host, so the diff flags a vanished
-metric or an order-of-magnitude regression, it does not gate on noise.
+Both files hold a list of {"metric", "value", "unit"} records; a record
+may add "better": "lower" (a count where fewer is better), and higher is
+better otherwise. Prints a WARN line for a metric that vanished or
+appeared, changed unit or direction, or moved more than 10x in its worse
+direction: below the baseline when higher is better, above it when lower
+is better. NAME (default: the baseline's file name) labels the closing
+line. Always exits 0 once both files are read: absolute numbers vary by
+host, so the diff flags a vanished metric or an order-of-magnitude
+regression, it does not gate on noise.
 """
 import json
 import os
@@ -18,6 +21,11 @@ import sys
 def load(path):
     with open(path) as fh:
         return {m["metric"]: m for m in json.load(fh)}
+
+
+def better(record):
+    """The record's better direction: "lower" or "higher"."""
+    return record.get("better", "higher")
 
 
 def main(argv):
@@ -42,9 +50,18 @@ def main(argv):
         elif baseline[metric]["unit"] != fresh[metric]["unit"]:
             print(f"WARN: metric '{metric}' changed unit "
                   f"{baseline[metric]['unit']} -> {fresh[metric]['unit']}")
+        elif better(baseline[metric]) != better(fresh[metric]):
+            print(f"WARN: metric '{metric}' changed direction "
+                  f"{better(baseline[metric])} -> {better(fresh[metric])} "
+                  f"is better")
         else:
             old, new = baseline[metric]["value"], fresh[metric]["value"]
-            if old > 0 and new < old / 10:
+            if better(fresh[metric]) == "lower":
+                if old > 0 and new > old * 10:
+                    print(f"WARN: metric '{metric}' grew {old:.3g} -> "
+                          f"{new:.3g} (>10x above baseline, lower is "
+                          f"better; smoke sizes, but worth a look)")
+            elif old > 0 and new < old / 10:
                 print(f"WARN: metric '{metric}' collapsed {old:.3g} -> "
                       f"{new:.3g} (>10x below baseline; smoke sizes, "
                       f"but worth a look)")

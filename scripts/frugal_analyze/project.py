@@ -119,6 +119,10 @@ HOT_FUNCTIONS = (
     "GpuCache::TailVictimLocked",
     "FreqSketch::Add",
     "FreqSketch::Estimate",
+    # The dense model's batch kernel (models/mlp.cc), run by every
+    # trainer once per step through the DLRM grad fn
+    "Mlp::TrainBatch",
+    "Mlp::Forward",
     # Vectorised row kernels (table/row_kernels.h)
     "RowCopy",
     "RowAxpy",

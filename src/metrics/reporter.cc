@@ -152,9 +152,11 @@ WriteJson(const std::vector<Metric> &metrics, const std::string &path)
     for (std::size_t i = 0; i < metrics.size(); ++i) {
         std::fprintf(out,
                      "  {\"metric\": \"%s\", \"value\": %.6g, "
-                     "\"unit\": \"%s\"}%s\n",
+                     "\"unit\": \"%s\"%s}%s\n",
                      metrics[i].name.c_str(), metrics[i].value,
                      metrics[i].unit.c_str(),
+                     metrics[i].lower_is_better ? ", \"better\": \"lower\""
+                                                : "",
                      i + 1 < metrics.size() ? "," : "");
     }
     std::fprintf(out, "]\n");

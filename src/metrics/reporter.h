@@ -60,12 +60,16 @@ struct Metric
     std::string name;
     double value = 0.0;
     std::string unit;
+    /** Set for counts where fewer is better (admission declines);
+     *  higher is better otherwise. */
+    bool lower_is_better = false;
 };
 
 /**
  * Writes `metrics` to `path` as the JSON array the committed
- * BENCH_*.json baselines use ({"metric", "value", "unit"} per record;
- * scripts/bench_diff.py reads it) and reports the write on stdout.
+ * BENCH_*.json baselines use ({"metric", "value", "unit"} per record,
+ * plus "better": "lower" where fewer is better; scripts/bench_diff.py
+ * reads it) and reports the write on stdout.
  */
 void WriteJson(const std::vector<Metric> &metrics, const std::string &path);
 

@@ -1,5 +1,6 @@
 #include "models/dlrm.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -59,7 +60,8 @@ DlrmModel::DlrmModel(const DlrmConfig &config)
               return mlp_config;
           }(),
           config.n_gpus),
-      loss_accum_(config.n_gpus), examples_(config.n_gpus)
+      batches_(config.n_gpus), loss_accum_(config.n_gpus),
+      examples_(config.n_gpus)
 {
     FRUGAL_CHECK(config.n_features > 0);
 }
@@ -75,27 +77,36 @@ DlrmModel::BindGradFn(const DlrmWorkload &workload)
         const std::size_t input = config_.n_features * dim;
         const auto &samples = workload.samples[step][gpu];
         const auto &indices = workload.key_idx[step][gpu];
-        Mlp &mlp = mlp_.replica(gpu);
-        std::vector<float> x(input);
-        std::vector<float> gx(input);
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            // Assemble the concatenated embedding input.
+        const std::size_t n = samples.size();
+        SubBatch &batch = batches_[gpu];
+        // alloc-ok: grows to the largest sub-batch once
+        batch.Reserve(n, input);
+        // Assemble the concatenated embedding inputs.
+        for (std::size_t i = 0; i < n; ++i) {
+            batch.labels[i] = samples[i].label;
             for (std::size_t f = 0; f < indices[i].size(); ++f) {
                 const float *src =
                     values.data() +
                     static_cast<std::size_t>(indices[i][f]) * dim;
-                float *dst = x.data() + f * dim;
+                float *dst = batch.xs.data() + i * input + f * dim;
                 for (std::size_t j = 0; j < dim; ++j)
                     dst[j] = src[j];
             }
-            gx.assign(input, 0.0f);
-            const float loss =
-                mlp.TrainExample(x.data(), samples[i].label, gx.data());
-            *loss_accum_[gpu] += loss;
-            *examples_[gpu] += 1;
-            // Scatter dL/dx back onto the (deduplicated) key gradients.
+        }
+        std::fill(batch.grad_xs.begin(), batch.grad_xs.begin() + n * input,
+                  0.0f);
+        mlp_.replica(gpu).TrainBatch(batch.xs.data(), batch.labels.data(),
+                                     n, batch.grad_xs.data(),
+                                     batch.losses.data());
+        for (std::size_t i = 0; i < n; ++i)
+            *loss_accum_[gpu] += batch.losses[i];
+        *examples_[gpu] += n;
+        // Scatter dL/dx back onto the (deduplicated) key gradients, in
+        // sample order.
+        for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t f = 0; f < indices[i].size(); ++f) {
-                const float *src = gx.data() + f * dim;
+                const float *src =
+                    batch.grad_xs.data() + i * input + f * dim;
                 float *dst =
                     grads->data() +
                     static_cast<std::size_t>(indices[i][f]) * dim;
@@ -153,18 +164,23 @@ DlrmModel::EvaluateAuc(const HostEmbeddingTable &table,
 {
     const std::size_t dim = config_.dim;
     const std::size_t input = config_.n_features * dim;
-    Mlp &mlp = mlp_.replica(0);
-    std::vector<float> x(input);
-    std::vector<float> scores;
-    std::vector<float> labels;
-    scores.reserve(n_samples);
-    labels.reserve(n_samples);
-    for (std::size_t i = 0; i < n_samples; ++i) {
-        const RecSample sample = gen.Next();
-        for (std::size_t f = 0; f < sample.keys.size(); ++f)
-            table.ReadRow(sample.keys[f], x.data() + f * dim);
-        scores.push_back(mlp.Predict(x.data()));
-        labels.push_back(sample.label);
+    const Mlp &mlp = mlp_.replica(0);
+    // Scored kEvalBatch samples per forward pass.
+    constexpr std::size_t kEvalBatch = 32;
+    std::vector<float> xs(kEvalBatch * input);
+    std::vector<float> scores(n_samples);
+    std::vector<float> labels(n_samples);
+    for (std::size_t first = 0; first < n_samples; first += kEvalBatch) {
+        const std::size_t n = std::min(kEvalBatch, n_samples - first);
+        for (std::size_t i = 0; i < n; ++i) {
+            const RecSample sample = gen.Next();
+            for (std::size_t f = 0; f < sample.keys.size(); ++f) {
+                table.ReadRow(sample.keys[f],
+                              xs.data() + i * input + f * dim);
+            }
+            labels[first + i] = sample.label;
+        }
+        mlp.PredictBatch(xs.data(), n, scores.data() + first);
     }
     return ComputeAuc(scores, labels);
 }

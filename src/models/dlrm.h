@@ -90,8 +90,32 @@ class DlrmModel
     void Reset();
 
   private:
+    /** One replica's sub-batch, sample-major: the MLP inputs, their
+     *  gradients, labels and losses. Grows to the largest sub-batch
+     *  seen and is reused after that. */
+    struct SubBatch
+    {
+        using Row = std::vector<float, CacheLineAllocator<float>>;
+        Row xs;
+        Row grad_xs;
+        Row labels;
+        Row losses;
+
+        /** Sizes the rows for n samples of `input` floats each. */
+        void Reserve(std::size_t n, std::size_t input)
+        {
+            if (n <= labels.size())
+                return;
+            xs.resize(n * input);
+            grad_xs.resize(n * input);
+            labels.resize(n);
+            losses.resize(n);
+        }
+    };
+
     DlrmConfig config_;
     ReplicatedMlp mlp_;
+    std::vector<SubBatch> batches_;  // per GPU
     // Per-GPU, current step; each trainer adds to its own on every
     // example, so each sits on its own cache line.
     std::vector<CacheAligned<double>> loss_accum_;

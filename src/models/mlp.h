@@ -7,8 +7,16 @@
  * The implementation is a real forward/backward pass on CPU floats;
  * gradient-check tests validate it against finite differences. Multi-GPU
  * data parallelism is modelled by ReplicatedMlp: one replica per trainer
- * accumulates local gradients, and a single-threaded step hook averages
- * and applies them to every replica (the all-reduce of real systems).
+ * accumulates local gradients, and a single-threaded step hook sums
+ * them, applies the mean step once and copies the result to every
+ * replica (the all-reduce of real systems).
+ *
+ * One kernel trains a whole sub-batch (TrainBatch); TrainExample and
+ * Predict are its n = 1 calls, and PredictBatch runs its forward pass.
+ * The kernel is bit-identical to training the samples one at a time in
+ * order (DESIGN.md §8, "Dense model kernels"): every float accumulates
+ * the same terms in the same order, and only the interleaving of
+ * independent chains changes.
  */
 #ifndef FRUGAL_MODELS_MLP_H_
 #define FRUGAL_MODELS_MLP_H_
@@ -35,15 +43,10 @@ struct MlpConfig
 
 /**
  * Fully connected ReLU network with sigmoid/BCE head. Line-aligned:
- * TrainExample rewrites the scratch vectors' headers on every example,
- * so two trainers' replicas allocated back to back must not share a
- * cache line; the scratch rows themselves get whole lines of their own
+ * TrainBatch rewrites its scratch on every call, so two trainers'
+ * replicas allocated back to back must not share a cache line; the
+ * scratch rows themselves get whole lines of their own
  * (CacheLineAllocator) for the same reason.
- *
- * The two per-example functions start on a 64-byte boundary. Their inner
- * loops are short enough that the front end's speed depends on where
- * they sit within a 64-byte code window; without the pin, any change to
- * the code linked ahead of them moved DLRM's step time by up to ~20%.
  */
 class alignas(kCacheLineSize) Mlp
 {
@@ -54,13 +57,24 @@ class alignas(kCacheLineSize) Mlp
     float Predict(const float *x) const;
 
     /**
-     * Forward + backward for one example. Accumulates parameter
-     * gradients internally and adds dL/dx into `grad_x` (size
-     * input_dim()), which carries the loss signal into the embeddings.
-     * @return the BCE loss of this example.
+     * Predicted probabilities of `n` inputs (n rows of input_dim()
+     * floats) into `probs[0..n)`; each equals Predict of its row.
      */
-    [[gnu::aligned(64)]] float TrainExample(const float *x, float label,
-                                            float *grad_x);
+    void PredictBatch(const float *xs, std::size_t n, float *probs) const;
+
+    /**
+     * Forward + backward for `n` examples. `xs` holds n rows of
+     * input_dim() floats. Accumulates the parameter gradients of the
+     * samples in order, adds sample s's dL/dx into row s of `grad_xs`
+     * (n × input_dim(); it carries the loss signal into the
+     * embeddings) and writes its BCE loss to `losses[s]`. The scratch
+     * grows to the largest n seen and is reused after that.
+     */
+    void TrainBatch(const float *xs, const float *labels, std::size_t n,
+                    float *grad_xs, float *losses);
+
+    /** TrainBatch of one example; @return its BCE loss. */
+    float TrainExample(const float *x, float label, float *grad_x);
 
     /**
      * Applies the accumulated gradients, scaled by `scale` (1/examples
@@ -91,23 +105,41 @@ class alignas(kCacheLineSize) Mlp
         std::size_t bias_offset = 0;
     };
 
-    /** Per-example scratch row. */
     using ScratchRow = std::vector<float, CacheLineAllocator<float>>;
-    using Activations =
-        std::vector<ScratchRow, CacheLineAllocator<ScratchRow>>;
 
-    /** Forward pass filling the per-layer activations. */
-    [[gnu::aligned(64)]] float ForwardInternal(const float *x,
-                                               Activations &acts) const;
+    /** Per-batch scratch, sized for `capacity` samples. */
+    struct BatchScratch
+    {
+        std::size_t capacity = 0;
+        /** feature_major[l]: layer l's input, one row of lanes per
+         *  feature (row stride Lanes(n)); the last entry holds the
+         *  logits. */
+        std::vector<ScratchRow> feature_major;
+        // The backward pass's rows (empty in a forward-only scratch):
+        /** sample_major[l]: layer l's input, one row per sample; empty
+         *  for layer 0, whose input is the caller's `xs`. */
+        std::vector<ScratchRow> sample_major;
+        /** Per-sample deltas of a layer's outputs and inputs. */
+        ScratchRow delta;
+        ScratchRow delta_next;
+        /** Layer 0's input delta of one sample. */
+        ScratchRow input_delta;
+    };
+
+    /** Grows `scratch` to n samples: the forward rows, plus the
+     *  backward rows if `backward` (a scratch always passes the same
+     *  `backward`). */
+    void Reserve(BatchScratch &scratch, std::size_t n, bool backward) const;
+
+    /** Forward pass of n samples; returns the n logits. */
+    const float *Forward(const float *xs, std::size_t n,
+                         BatchScratch &scratch) const;
 
     MlpConfig config_;
     std::vector<LayerShape> shapes_;  ///< hidden layers + output layer
     std::vector<float> params_;
     std::vector<float> grads_;
-    // Scratch reused across TrainExample calls (single-threaded use).
-    Activations acts_;
-    ScratchRow delta_;
-    ScratchRow delta_next_;
+    BatchScratch scratch_;  // TrainBatch's (single-threaded use)
 };
 
 /** Data-parallel MLP replicas with deterministic gradient averaging. */
@@ -121,9 +153,10 @@ class ReplicatedMlp
     Mlp &replica(std::uint32_t g) { return *replicas_[g]; }
 
     /**
-     * The step hook body: averages all replicas' accumulated gradients,
-     * applies the same mean step to every replica (keeping them
-     * bit-identical), and clears the accumulators.
+     * The step hook body: sums all replicas' accumulated gradients into
+     * replica 0, applies the mean step there, copies its parameters to
+     * the other replicas (keeping them bit-identical) and clears every
+     * accumulator.
      * @param examples_total examples contributing this step (the mean
      *        gradient divisor).
      */
